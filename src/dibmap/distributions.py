@@ -29,6 +29,9 @@ def xlog2x(a: np.ndarray) -> np.ndarray:
 
 
 def _check_pmf(p: np.ndarray) -> None:
+    """Reject non-finite or negative entries and a total mass other than 1."""
+    if not np.all(np.isfinite(p)):
+        raise InvalidDistributionError("non-finite probability entry")
     if np.any(p < 0):
         raise InvalidDistributionError("negative probability entry")
     total = float(p.sum())

@@ -1,22 +1,28 @@
 """Epsilon-greedy agglomerative frontier search plus frontier post-processing.
 
 The search starts from the identity clustering and explores the merge
-lattice breadth-first: each dequeued clustering's single-merge children are
-evaluated on the objective plane, offered to the maintained frontier, and
-enqueued with probability exp(-d / epsilon), where d is the child's
-distance to the frontier *before* it is offered. epsilon = 0 degenerates to
-a greedy search that enqueues only the children that enter the frontier
-(not those tying it on a wall of its staircase, where d is also 0); an
-infinite epsilon enqueues everything (brute force).
+lattice one level at a time. Every merge child has exactly one cluster
+fewer than its parent, so a level holds clusterings of a single cluster
+count, and one partition can be reached twice only within one level. Each
+child of a level is evaluated on the objective plane, offered to the
+maintained frontier, and kept as a parent of the next level with
+probability exp(-d / epsilon), where d is the child's distance to the
+frontier *before* it is offered. epsilon = 0 degenerates to a greedy
+search that keeps only the children that enter the frontier (not those
+tying it on a wall of its staircase, where d is also 0); an infinite
+epsilon keeps everything (brute force).
 
-Frontier offers are strictly sequential in lexicographic merge-pair order;
-objective evaluation is batched per parent. A child's entropies are
-computed from the parent's pushed-forward matrix by updating only the
-cells its merge touches, vectorized across all m*(m-1)/2 children at once.
-Those values depend on the merge path in their last bits, so a child
-within INFO_TOL of the frontier is evaluated again from scratch, and the
-offer is decided on that path-independent value: one partition, or two
-with equal objectives, never becomes several frontier points.
+A level is processed in parent-aligned chunks of about CHUNK_CHILDREN
+children, each with a few numpy passes: one builds every child's canonical
+labels, one np.unique drops later occurrences of a partition, and one call
+of the evaluator's merge_objectives computes the survivors' objectives from
+their parents' pushed-forward arrays, updating only the cells each merge
+touches. Frontier offers stay strictly sequential in (parent, merge pair)
+order, the order of a breadth-first queue, and so do the random draws.
+The batched values depend on the merge path in their last bits, so a
+child within INFO_TOL of the frontier is evaluated again from scratch, and
+the offer is decided on that path-independent value: one partition, or
+two with equal objectives, never becomes several frontier points.
 Clusterings travel as canonical label byte strings; Encoder objects are
 materialized only for points that enter the frontier.
 """
@@ -25,15 +31,16 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .distributions import INFO_TOL, JointPMF, xlog2x
 from .encoders import Encoder
 from .pareto import ParetoPoint, ParetoSet
+
+CHUNK_CHILDREN = 1 << 16
+"""Merge children built and evaluated per batch; bounds a level's memory."""
 
 
 @dataclass(frozen=True)
@@ -43,13 +50,12 @@ class SearchConfig:
     epsilon is the search depth scale in bits (math.inf for brute force).
     dedup skips clusterings whose partition was already evaluated via a
     different merge order; disable it to follow the literal re-enqueueing
-    procedure. max_queue is an optional safety cap on pending entries.
+    procedure.
     """
 
     epsilon: float
     seed: int
     dedup: bool = True
-    max_queue: Optional[int] = None
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -62,7 +68,8 @@ class SearchStats:
 
     points_searched counts objective evaluations actually consumed (one per
     offered child plus the identity); with dedup on, every canonical
-    partition is counted at most once. enqueued counts queue insertions.
+    partition is counted at most once. enqueued counts the clusterings
+    kept as parents, the identity included.
     """
 
     points_searched: int
@@ -87,18 +94,25 @@ def enqueue_probability(d: float, epsilon: float) -> float:
     return math.exp(-d / epsilon)
 
 
-def _child_keys(parent: bytes, i_idx: np.ndarray, j_idx: np.ndarray) -> list[bytes]:
-    """Canonical label strings of every merge child, in pair order.
+def _merge_children(parents: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
+    """Canonical labels of every merge child, parent-major, then in pair order.
 
-    Because the parent is canonical, uniting clusters i < j relabels as:
+    Because a parent is canonical, uniting clusters i < j relabels as:
     j -> i, labels above j shift down by one, everything else unchanged.
+    The arithmetic stays in uint8, so a chunk costs one byte per label.
     """
-    arr = np.frombuffer(parent, dtype=np.uint8)
-    a = np.broadcast_to(arr, (len(i_idx), len(arr)))
-    child = np.where(a == j_idx[:, None], i_idx[:, None], a - (a > j_idx[:, None]))
-    flat = child.astype(np.uint8).tobytes()
-    n = len(arr)
-    return [flat[k * n : (k + 1) * n] for k in range(len(i_idx))]
+    a = parents[:, None, :]
+    i = i_idx.astype(np.uint8)[:, None]
+    j = j_idx.astype(np.uint8)[:, None]
+    return np.where(a == j, i, a - (a > j)).reshape(-1, parents.shape[1])
+
+
+def _onehot(labels: np.ndarray) -> np.ndarray:
+    """(P, m, n) cluster-membership indicators of P label strings."""
+    p, n = labels.shape
+    out = np.zeros((p, int(labels.max()) + 1, n))
+    out[np.arange(p)[:, None], labels, np.arange(n)] = 1.0
+    return out
 
 
 def _sorted_sum(terms: np.ndarray) -> float:
@@ -117,41 +131,38 @@ class _JointEvaluator:
     def domain_size(self) -> int:
         return self.rows.shape[0]
 
-    def prepare(self, labels) -> np.ndarray:
+    def evaluate(self, labels) -> tuple[float, float]:
+        """Objectives of one clustering, from scratch and path-independent."""
         idx = np.frombuffer(bytes(labels), dtype=np.uint8)
         pushed = np.zeros((int(idx.max()) + 1, self.rows.shape[1]))
         np.add.at(pushed, idx, self.rows)
-        return pushed
-
-    def evaluate(self, labels) -> tuple[float, float]:
-        """Objectives of one clustering, from scratch and path-independent."""
-        pushed = self.prepare(labels)
         hz = max(0.0, -_sorted_sum(xlog2x(pushed.sum(axis=1))))
         hzy = -_sorted_sum(xlog2x(pushed))
         return -hz, max(0.0, hz + self.hy - hzy)
 
-    def pair_objectives(self, pushed: np.ndarray, i_idx, j_idx):
-        """Objectives of every merge child of `pushed`, batched over pairs.
+    def merge_objectives(self, parents: np.ndarray, parent, i_idx, j_idx):
+        """Objectives of the children merging clusters i < j of parents[parent].
 
-        Only the two folded rows change, so each child's cell sums are the
-        parent's with those rows' contributions swapped for the fold's.
+        The parents' pushed-forward matrices are built as one (P, m, ny)
+        array. Only the two folded rows change, so each child's cell sums
+        are its parent's with those rows' contributions swapped for the
+        fold's.
         """
-        cell = xlog2x(pushed)
-        s_cells = cell.sum()
-        row_cells = cell.sum(axis=1)
-        fold_cells = xlog2x(pushed[i_idx] + pushed[j_idx]).sum(axis=1)
-        hzy = -(s_cells - row_cells[i_idx] - row_cells[j_idx] + fold_cells)
+        pushed = _onehot(parents) @ self.rows
+        row = xlog2x(pushed).sum(axis=2)
+        fold = xlog2x(pushed[parent, i_idx] + pushed[parent, j_idx]).sum(axis=1)
+        hzy = -(row.sum(axis=1)[parent] - row[parent, i_idx] - row[parent, j_idx] + fold)
 
-        pz = pushed.sum(axis=1)
+        pz = pushed.sum(axis=2)
         pzx = xlog2x(pz)
-        s_pz = pzx.sum()
-        fold_pz = xlog2x(pz[i_idx] + pz[j_idx])
-        hz = np.maximum(-(s_pz - pzx[i_idx] - pzx[j_idx] + fold_pz), 0.0)
+        fold_pz = xlog2x(pz[parent, i_idx] + pz[parent, j_idx])
+        hz = -(pzx.sum(axis=1)[parent] - pzx[parent, i_idx] - pzx[parent, j_idx] + fold_pz)
+        hz = np.maximum(hz, 0.0)
         return -hz, np.maximum(hz + self.hy - hzy, 0.0)
 
 
 def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
-    """The agglomerative search loop shared by the plain and symmetric mappers."""
+    """The level-synchronous search loop shared by the plain and symmetric mappers."""
     n = evaluator.domain_size
     if n > 255:
         raise ValueError("search supports at most 255 input symbols")
@@ -164,52 +175,56 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
     identity = bytes(range(n))
     x0, y0 = evaluator.evaluate(identity)
     frontier.add(ParetoPoint(x0, y0, encoder=Encoder(tuple(identity))))
-    queue: deque[bytes] = deque([identity])
-    visited = {identity}
     searched = 1
     enqueued = 1
 
-    pair_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     evaluate = evaluator.evaluate
     distance = frontier.distance
     is_optimal = frontier.is_optimal
     add = frontier.add
 
-    while queue:
-        parent = queue.popleft()
-        m = max(parent) + 1
-        if m == 1:
-            continue
-        pairs = pair_cache.get(m)
-        if pairs is None:
-            pairs = np.triu_indices(m, k=1)
-            pair_cache[m] = pairs
-        i_idx, j_idx = pairs
-        keys = _child_keys(parent, i_idx, j_idx)
-        ctx = evaluator.prepare(parent)
-        xs, ys = evaluator.pair_objectives(ctx, i_idx, j_idx)
-        u = rng.random(len(keys))  # one draw per child, in pair order
-        for k, key in enumerate(keys):
-            if cfg.dedup:
-                if key in visited:
-                    continue
-                visited.add(key)
-            x = float(xs[k])
-            y = float(ys[k])
-            searched += 1
-            d = distance(x, y)
-            if d <= INFO_TOL:  # a tie may hinge on the path-dependent last bits
-                x, y = evaluate(key)
+    level = np.frombuffer(identity, dtype=np.uint8)[None]
+    m = n  # cluster count of every parent in the level
+    while len(level) and m > 1:
+        i_idx, j_idx = np.triu_indices(m, k=1)
+        per_chunk = max(1, CHUNK_CHILDREN // len(i_idx))
+        # np.unique dedups within a chunk; a set catches repeats across chunks
+        seen = set() if cfg.dedup and len(level) > per_chunk else None
+        kept: list[bytes] = []
+        for start in range(0, len(level), per_chunk):
+            parents = level[start : start + per_chunk]
+            children = _merge_children(parents, i_idx, j_idx)
+            u = rng.random(len(children))  # one draw per child, in pair order
+            if cfg.dedup:  # first occurrence of each partition
+                _, new = np.unique(children.view(f"V{n}").ravel(), return_index=True)
+                new.sort()
+            else:
+                new = np.arange(len(children))
+            flat = children[new].tobytes()
+            keys = [flat[k : k + n] for k in range(0, len(flat), n)]
+            if seen is not None:
+                fresh = [k for k, key in enumerate(keys) if key not in seen]
+                seen.update(keys)
+                new = new[fresh]
+                keys = [keys[k] for k in fresh]
+            parent, pair = np.divmod(new, len(i_idx))
+            xs, ys = evaluator.merge_objectives(parents, parent, i_idx[pair], j_idx[pair])
+            searched += len(keys)
+            for key, x, y, draw in zip(keys, xs.tolist(), ys.tolist(), u[new].tolist()):
                 d = distance(x, y)
-            entered = d == 0.0 and is_optimal(x, y)
-            if entered:
-                add(ParetoPoint(x, y, encoder=Encoder(tuple(key))))
-            # at epsilon = 0, d is also 0 on the walls: enqueue entries only
-            enqueue = entered if greedy else u[k] < enqueue_probability(d, epsilon)
-            if enqueue:
-                if cfg.max_queue is None or len(queue) < cfg.max_queue:
-                    queue.append(key)
-                    enqueued += 1
+                if d <= INFO_TOL:  # a tie may hinge on the path-dependent last bits
+                    x, y = evaluate(key)
+                    d = distance(x, y)
+                entered = d == 0.0 and is_optimal(x, y)
+                if entered:
+                    add(ParetoPoint(x, y, encoder=Encoder(tuple(key))))
+                # at epsilon = 0, d is also 0 on the walls: keep entries only
+                keep = entered if greedy else draw < enqueue_probability(d, epsilon)
+                if keep:
+                    kept.append(key)
+        enqueued += len(kept)
+        level = np.frombuffer(b"".join(kept), dtype=np.uint8).reshape(-1, n)
+        m -= 1
 
     stats = SearchStats(searched, enqueued, time.perf_counter() - t0)
     return frontier, stats

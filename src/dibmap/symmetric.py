@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MASS_TOL, xlog2x
+from .distributions import _check_pmf, xlog2x
 from .encoders import Encoder
 from .errors import DimensionMismatchError, InvalidDistributionError
-from .mapper import SearchConfig, SearchStats, _run_search, _sorted_sum
+from .mapper import SearchConfig, SearchStats, _onehot, _run_search, _sorted_sum
 from .pareto import ParetoSet
 
 
@@ -31,11 +31,7 @@ class TripleJointPMF:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 3 or p.shape[0] != p.shape[1] or p.shape[2] < 1:
             raise InvalidDistributionError("triple PMF must be a g*g*ny array")
-        if np.any(p < 0):
-            raise InvalidDistributionError("negative probability entry")
-        total = float(p.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise InvalidDistributionError(f"probabilities sum to {total!r}, not 1")
+        _check_pmf(p)
         object.__setattr__(self, "p", p)
 
     @property
@@ -47,39 +43,31 @@ class TripleJointPMF:
         return self.p.shape[2]
 
 
-def _fold_cell_sums(q: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
-    """Sum of xlog2x over each merge child's cells, batched over pairs.
+def _merged_cell_sums(q: np.ndarray, parent, i_idx, j_idx) -> np.ndarray:
+    """Sum of xlog2x over the cells of each merge child of a batch of parents.
 
-    Merging clusters i and j folds row j into row i and column j into
-    column i of q (an m*m*k cell array). Only those rows/columns change, so
-    each child's sum is the parent's with the touched cells' contributions
-    replaced: subtract both rows and both columns, add back the four corner
-    cells counted twice, then add the folded row, folded column, and folded
-    corner.
+    q holds the parents' (P, m, m, k) cell arrays. Merging clusters i and j
+    of q[parent] folds row j into row i and column j into column i, so only
+    the cross of those rows and columns changes: each child's sum is its
+    parent's minus the cross, plus the folded row and column outside the
+    folded corner, plus the corner.
     """
     cell = xlog2x(q)
-    s = cell.sum()
-    row = cell.sum(axis=(1, 2))
-    col = cell.sum(axis=(0, 2))
+    row = cell.sum(axis=(2, 3))
+    col = cell.sum(axis=(1, 3))
+    corners = (i_idx, i_idx), (i_idx, j_idx), (j_idx, i_idx), (j_idx, j_idx)
+    cross = row[parent, i_idx] + row[parent, j_idx] + col[parent, i_idx] + col[parent, j_idx]
+    cross -= sum(cell[parent, a, b].sum(axis=1) for a, b in corners)
 
-    pair = np.arange(len(i_idx))
-    corner = q[i_idx, i_idx] + q[i_idx, j_idx] + q[j_idx, i_idx] + q[j_idx, j_idx]
-    corner = xlog2x(corner).sum(axis=1)
-    twice = (cell[i_idx, i_idx] + cell[i_idx, j_idx] + cell[j_idx, i_idx]
-             + cell[j_idx, j_idx]).sum(axis=1)
-
-    # Columns i and j of the folded row, and rows i and j of the folded
-    # column, lie in the folded corner: drop them from both folds.
-    fold = xlog2x(q[i_idx] + q[j_idx])
-    fold_rows = fold.sum(axis=(1, 2))
-    fold_rows -= fold[pair, i_idx].sum(axis=1) + fold[pair, j_idx].sum(axis=1)
-    qt = q.transpose(1, 0, 2)
-    fold = xlog2x(qt[i_idx] + qt[j_idx])
-    fold_cols = fold.sum(axis=(1, 2))
-    fold_cols -= fold[pair, i_idx].sum(axis=1) + fold[pair, j_idx].sum(axis=1)
-
-    return s - row[i_idx] - row[j_idx] - col[i_idx] - col[j_idx] + twice \
-        + fold_rows + fold_cols + corner
+    child = np.arange(len(parent))
+    fold_row = q[parent, i_idx] + q[parent, j_idx]  # (P, m, k), over columns
+    fold_col = q[parent, :, i_idx] + q[parent, :, j_idx]  # (P, m, k), over rows
+    corner = fold_row[child, i_idx] + fold_row[child, j_idx]
+    folded = xlog2x(corner).sum(axis=1)
+    for fold in (xlog2x(fold_row), xlog2x(fold_col)):
+        in_corner = fold[child, i_idx] + fold[child, j_idx]
+        folded += fold.sum(axis=(1, 2)) - in_corner.sum(axis=1)
+    return row.sum(axis=1)[parent] - cross + folded
 
 
 class _TripleEvaluator:
@@ -110,10 +98,18 @@ class _TripleEvaluator:
         hzy = -_sorted_sum(xlog2x(q))
         return -hz / 2.0, max(0.0, hz + self.hy - hzy)
 
-    def pair_objectives(self, q: np.ndarray, i_idx, j_idx):
-        hzy = -_fold_cell_sums(q, i_idx, j_idx)
-        pz = q.sum(axis=2)
-        hz = np.maximum(-_fold_cell_sums(pz[:, :, None], i_idx, j_idx), 0.0)
+    def merge_objectives(self, parents: np.ndarray, parent, i_idx, j_idx):
+        """Objectives of the children merging clusters i < j of parents[parent].
+
+        The parents' aggregated triples are built as one (P, m, m, k) array.
+        """
+        onehot = _onehot(parents)  # (P, z, x)
+        count, m, g = onehot.shape
+        t = (onehot @ self.p.reshape(g, -1)).reshape(count, m, g, -1)  # (P, z1, x2, y)
+        q = onehot[:, None] @ t  # (P, z1, z2, y)
+        hzy = -_merged_cell_sums(q, parent, i_idx, j_idx)
+        pz = q.sum(axis=3)[..., None]
+        hz = np.maximum(-_merged_cell_sums(pz, parent, i_idx, j_idx), 0.0)
         return -hz / 2.0, np.maximum(hz + self.hy - hzy, 0.0)
 
 

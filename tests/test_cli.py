@@ -214,6 +214,16 @@ class TestExitCodes:
         rc = main(["map", "--pmf", str(bad), "--epsilon", "0", "--seed", "1"])
         assert rc == 1
 
+    def test_nan_pmf_is_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("nan,0.5\n0.25,0.25\n")
+        out = tmp_path / "out.json"
+        rc = main(["map", "--pmf", str(bad), "--epsilon", "0", "--seed", "1",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_flags_are_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["map", "--pmf", "x.csv", "--epsilon", "-3", "--seed", "1"])

@@ -55,6 +55,11 @@ class TestEntropy:
         with pytest.raises(InvalidDistributionError):
             entropy([0.5, 0.6])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidDistributionError):
+            entropy([bad, 1.0])
+
     @given(simplex_vectors())
     def test_permutation_invariant(self, v):
         rng = np.random.default_rng(0)
@@ -64,6 +69,19 @@ class TestEntropy:
     def test_bounds(self, v):
         h = entropy(v)
         assert 0.0 <= h <= np.log2(len(v)) + 1e-12
+
+
+class TestJointPMF:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # nan compares False with everything, so a sum check alone lets it pass
+        with pytest.raises(InvalidDistributionError):
+            JointPMF([[bad, 0.5], [0.25, 0.25]])
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 1)])
+    def test_non_matrix_rejected(self, shape):
+        with pytest.raises(InvalidDistributionError):
+            JointPMF(np.full(shape, 0.25))
 
 
 class TestMutualInformation:

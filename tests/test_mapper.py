@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dibmap as dm
 from dibmap import (
@@ -19,6 +21,8 @@ from dibmap import (
     sample_simplex,
     upper_hull,
 )
+from dibmap.encoders import canonicalize
+from dibmap.mapper import _JointEvaluator, _merge_children
 
 DIAG2 = JointPMF(np.diag([0.5, 0.5]))
 
@@ -136,17 +140,83 @@ class TestParetoMapper:
         assert ab.precision == ab.recall == 1.0
         assert ba.precision == ba.recall == 1.0
 
-    def test_max_queue_caps_pending_work(self):
-        joint = sample_simplex(6, 4, seed=30)
-        frontier, stats = pareto_mapper(
-            joint, SearchConfig(math.inf, 3, max_queue=5)
-        )
-        assert len(frontier) >= 1
-        assert stats.points_searched < dm.bell_number(6)
-
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
             SearchConfig(epsilon=-0.5, seed=0)
+
+
+def count_joint(n, seed):
+    """An empirical n x n joint from 2000 samples of a random one."""
+    counts = dm.multinomial_sample(sample_simplex(n, n, seed), 2000, seed + 1)
+    return dm.normalize_counts(counts)
+
+
+class TestGoldenCounts:
+    """Exact work counters and frontier sizes of fixed runs.
+
+    They move whenever the offer order, the dedup rule or the RNG stream
+    changes, so any rewrite of the search loop must leave them as they are.
+    """
+
+    @pytest.mark.parametrize(
+        "make_joint, cfg, want",
+        [
+            (lambda: sample_simplex(9, 5, 1), SearchConfig(0.05, 3), (12264, 2295, 40)),
+            (lambda: sample_simplex(9, 5, 1), SearchConfig(math.inf, 3), (21147, 21147, 40)),
+            (lambda: count_joint(20, 8), SearchConfig(0.0, 2), (213571, 3024, 216)),
+            (lambda: sample_simplex(6, 4, 30), SearchConfig(0.05, 3, dedup=False),
+             (2422, 1819, 22)),
+        ],
+        ids=["9x5-eps0.05", "9x5-inf", "20x20-counts-eps0", "6x4-no-dedup"],
+    )
+    def test_counts(self, make_joint, cfg, want):
+        frontier, stats = pareto_mapper(make_joint(), cfg)
+        assert (stats.points_searched, stats.enqueued, len(frontier)) == want
+
+
+class TestMergeObjectives:
+    """The search's batched merge kernel against the from-scratch evaluation
+    and the closed form push_forward + mutual_information."""
+
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(1, 4),
+        st.booleans(), st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, seed, n, ny, zero_rows, dup_rows):
+        rng = np.random.default_rng(seed)
+        p = rng.exponential(size=(n, ny))
+        if zero_rows:
+            p[rng.integers(n, size=n // 2)] = 0.0
+        if dup_rows:
+            p[rng.integers(n, size=n // 2)] = p[rng.integers(n)]
+        if p.sum() == 0.0:
+            p[0] = 1.0
+        joint = JointPMF(p / p.sum())
+        ev = _JointEvaluator(joint)
+        labels = rng.integers(0, n, size=(rng.integers(1, 5), n))
+        labels[:, :2] = [0, 1]  # at least two clusters
+        parents = np.array([canonicalize(r).assignment for r in labels], dtype=np.uint8)
+        parent = rng.integers(len(parents), size=8)
+        pairs = [rng.choice(int(parents[k].max()) + 1, size=2, replace=False) for k in parent]
+        i_idx, j_idx = np.sort(pairs, axis=1).T
+        xs, ys = ev.merge_objectives(parents, parent, i_idx, j_idx)
+        for k in range(len(parent)):
+            lab = parents[parent[k]]
+            f = canonicalize(np.where(lab == j_idx[k], i_idx[k], lab))
+            key = bytes(f.assignment)
+            child = _merge_children(lab[None], i_idx[k : k + 1], j_idx[k : k + 1])
+            assert child.tobytes() == key
+            pushed = push_forward(joint, f)
+            for x, y in (ev.evaluate(key), (-entropy(pushed.marginal_x()), mutual_information(pushed))):
+                assert xs[k] == pytest.approx(x, abs=1e-12)
+                assert ys[k] == pytest.approx(y, abs=1e-12)
+
+    def test_single_symbol_evaluates_only_the_identity(self):
+        joint = JointPMF(np.array([[0.5, 0.5]]))
+        for eps in (0.0, math.inf):
+            frontier, stats = pareto_mapper(joint, SearchConfig(eps, seed=0))
+            assert (stats.points_searched, stats.enqueued, len(frontier)) == (1, 1, 1)
 
 
 class TestDmcPoints:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dibmap as dm
 from dibmap import (
@@ -17,6 +19,7 @@ from dibmap import (
     symmetric_pareto_mapper,
 )
 from dibmap.distributions import INFO_TOL
+from dibmap.symmetric import _TripleEvaluator
 from dibmap.errors import DimensionMismatchError, InvalidDistributionError
 
 
@@ -81,6 +84,13 @@ class TestTripleJointPMF:
             TripleJointPMF(np.ones((2, 3, 2)) / 12)  # axes 0 and 1 differ
         with pytest.raises(InvalidDistributionError):
             TripleJointPMF(np.ones((2, 2, 2)))  # not normalized
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        p = np.ones((2, 2, 2)) / 8
+        p[0, 1, 1] = bad
+        with pytest.raises(InvalidDistributionError):
+            TripleJointPMF(p)
 
     def test_shape_properties(self):
         t = random_triple(4, 3, 0)
@@ -181,6 +191,50 @@ class TestSymmetricMapper:
         assert s1.points_searched == s2.points_searched
 
 
+class TestMergeObjectives:
+    """The search's batched merge kernel against the from-scratch evaluation
+    and the dense reference, on random parents and merges."""
+
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 3),
+        st.booleans(), st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference(self, seed, g, ny, zero_symbols, dup_symbols):
+        rng = np.random.default_rng(seed)
+        p = rng.exponential(size=(g, g, ny))
+        if zero_symbols:  # a symbol that never occurs on either input
+            a = rng.integers(g)
+            p[a] = p[:, a] = 0.0
+        if dup_symbols:  # two symbols with identical slices
+            a, b = rng.choice(g, size=2, replace=False)
+            p[b] = p[a]
+            p[:, b] = p[:, a]
+        if p.sum() == 0.0:
+            p[:] = 1.0
+        triple = TripleJointPMF(p / p.sum())
+        ev = _TripleEvaluator(triple)
+        labels = rng.integers(0, g, size=(rng.integers(1, 5), g))
+        labels[:, :2] = [0, 1]  # at least two clusters
+        parents = np.array([canonicalize(r).assignment for r in labels], dtype=np.uint8)
+        parent = rng.integers(len(parents), size=8)
+        pairs = [rng.choice(int(parents[k].max()) + 1, size=2, replace=False) for k in parent]
+        i_idx, j_idx = np.sort(pairs, axis=1).T
+        xs, ys = ev.merge_objectives(parents, parent, i_idx, j_idx)
+        for k in range(len(parent)):
+            lab = parents[parent[k]]
+            f = canonicalize(np.where(lab == j_idx[k], i_idx[k], lab))
+            for x, y in (ev.evaluate(f.assignment), objectives_by_definition(triple, f)):
+                assert xs[k] == pytest.approx(x, abs=1e-12)
+                assert ys[k] == pytest.approx(y, abs=1e-12)
+
+    def test_single_symbol_evaluates_only_the_identity(self):
+        t = TripleJointPMF(np.ones((1, 1, 2)) / 2)
+        for eps in (0.0, math.inf):
+            frontier, stats = symmetric_pareto_mapper(t, SearchConfig(eps, seed=0))
+            assert (stats.points_searched, stats.enqueued, len(frontier)) == (1, 1, 1)
+
+
 class TestGroupStructure:
     """The subgroup lattice shows up as exact integer points, identically
     for both built-in order-16 groups."""
@@ -271,6 +325,18 @@ class TestGroupTies:
         assert stats.points_searched < dm.bell_number(8) // 10
         # only children entering the frontier are enqueued, the identity first
         assert len(frontier) <= stats.enqueued < stats.points_searched // 5
+
+
+class TestGoldenCounts:
+    """Exact work counters of fixed D4 runs; see test_mapper.TestGoldenCounts."""
+
+    @pytest.mark.parametrize(
+        "epsilon, want", [(0.0, (199, 30, 14)), (math.inf, (4140, 4140, 14))]
+    )
+    def test_d4_counts(self, epsilon, want):
+        triple = group_joint(dihedral4())
+        frontier, stats = symmetric_pareto_mapper(triple, SearchConfig(epsilon, seed=1))
+        assert (stats.points_searched, stats.enqueued, len(frontier)) == want
 
 
 class TestTripleCsv:
