@@ -39,7 +39,7 @@ from .oracle import (
     enumerate_partitions,
     precision_recall,
 )
-from .pareto import ParetoPoint, ParetoSet
+from .pareto import ParetoPoint, ParetoSet, pareto_mask
 from .robust import (
     RobustConfig,
     bootstrap_uncertainty,
@@ -50,7 +50,6 @@ from .scaling import (
     CopulaKind,
     dib_frontier_scaling,
     harmonic_number,
-    pareto_mask,
     pareto_mask_by_ranks,
     pareto_size,
     sample_cloud,

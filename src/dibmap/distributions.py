@@ -79,6 +79,8 @@ class EmpiricalCounts:
         if n.ndim != 2 or n.shape[0] < 1 or n.shape[1] < 1:
             raise ValueError("counts must be a non-empty 2-D matrix")
         if not np.issubdtype(n.dtype, np.integer):
+            if not np.all(np.isfinite(n)):
+                raise ValueError("counts must be finite (no NaN or inf)")
             if not np.all(n == np.floor(n)):
                 raise ValueError("counts must be integers")
             n = n.astype(np.int64)

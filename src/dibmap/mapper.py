@@ -115,6 +115,29 @@ def _onehot(labels: np.ndarray) -> np.ndarray:
     return out
 
 
+def _push(labels: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
+    """(K, m, ny) pushed-forward matrices of K label strings.
+
+    rows is one (n, ny) joint shared by every string, or K joints as a
+    (K, n, ny) array. Each cluster's rows are summed in input order, the
+    arithmetic of push_forward's np.add.at, so the results agree bit for bit.
+    """
+    k, n = labels.shape
+    out = np.zeros((k, m, rows.shape[-1]))
+    strings = np.arange(k)
+    for i in range(n):
+        out[strings, labels[:, i]] += rows[..., i, :]
+    return out
+
+
+def _objectives(pushed: np.ndarray, hy):
+    """Batched (-H(Z), I(Z;Y)) of (K, m, ny) pushed matrices; hy is H(Y),
+    one value or one per matrix. All-zero clusters contribute nothing."""
+    hz = np.maximum(-xlog2x(pushed.sum(axis=2)).sum(axis=1), 0.0)
+    hzy = -xlog2x(pushed.reshape(len(pushed), -1)).sum(axis=1)
+    return -hz, np.maximum(hz + hy - hzy, 0.0)
+
+
 def _sorted_sum(terms: np.ndarray) -> float:
     """Sum in ascending order, so equal multisets of terms give equal floats."""
     return float(np.sort(terms, axis=None).sum())

@@ -1,15 +1,18 @@
 """Ground truth by exhaustive enumeration, and frontier scoring against it.
 
-Set partitions are enumerated as restricted growth strings in lexicographic
-order, so each partition of [n] is visited exactly once; the count is the
-Bell number B(n). A hard cap of n = 13 (B(13) ~ 2.7e7) keeps exhaustive
-runs desk-scale. Objectives are evaluated in vectorized batches.
+Set partitions are enumerated as restricted growth strings (RGS) in
+lexicographic order, so each partition of [n] is visited exactly once; the
+count is the Bell number B(n). A hard cap of n = 13 (B(13) ~ 2.7e7) keeps
+exhaustive runs desk-scale. The strings are streamed in uint8 blocks of at
+most BLOCK_ROWS rows, for every n: all positions but the last two are
+expanded at once, the last two per group of prefixes (Knuth, TAOCP 4A,
+7.2.1.5). Each block is evaluated with the search's batched plain kernel,
+and only the block's own maxima are offered to the frontier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -17,11 +20,12 @@ import numpy as np
 from .distributions import JointPMF, xlog2x
 from .encoders import Encoder
 from .errors import CapacityError
-from .pareto import ParetoPoint, ParetoSet
+from .mapper import _objectives, _push
+from .pareto import ParetoSet, pareto_mask
 
 MAX_EXHAUSTIVE_N = 13
-_CACHE_MAX_N = 10
-_BATCH = 8192
+BLOCK_ROWS = 8192
+"""Label strings per enumerated block; bounds the oracle's working memory."""
 
 
 def bell_number(n: int) -> int:
@@ -37,49 +41,33 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
-def _rgs_iter(n: int) -> Iterator[list[int]]:
-    """Yield every restricted growth string of length n, in lex order.
+def _extend(block: np.ndarray) -> np.ndarray:
+    """Every RGS one longer than a string of the block, in lex order.
 
-    The yielded list is reused between steps; copy before storing.
+    Each string is followed by 0 .. 1 + its maximum, so a lex-ordered block
+    gives a lex-ordered result.
     """
-    a = [0] * n
-    if n == 1:
-        yield a
-        return
-    b = [1] * n  # b[j] = 1 + max(a[:j]); positions j >= 1
-    while True:
-        yield a
-        j = n - 1
-        while j > 0 and a[j] == b[j]:
-            j -= 1
-        if j == 0:
-            return
-        a[j] += 1
-        grow = max(b[j], a[j] + 1)
-        for k in range(j + 1, n):
-            a[k] = 0
-            b[k] = grow
-
-
-def _rgs_batches(n: int, batch: int = _BATCH) -> Iterator[np.ndarray]:
-    buf = np.empty((batch, n), dtype=np.uint8)
-    fill = 0
-    for a in _rgs_iter(n):
-        buf[fill] = a
-        fill += 1
-        if fill == batch:
-            yield buf
-            buf = np.empty((batch, n), dtype=np.uint8)
-            fill = 0
-    if fill:
-        yield buf[:fill]
-
-
-@lru_cache(maxsize=None)
-def _all_rgs(n: int) -> np.ndarray:
-    out = np.concatenate(list(_rgs_batches(n)))
-    out.setflags(write=False)
+    choices = block.max(axis=1).astype(np.intp) + 2
+    src = np.repeat(np.arange(len(block)), choices)
+    first = np.cumsum(choices) - choices
+    out = np.empty((len(src), block.shape[1] + 1), dtype=np.uint8)
+    out[:, :-1] = block[src]
+    out[:, -1] = np.arange(len(src)) - first[src]
     return out
+
+
+def _rgs_blocks(n: int) -> Iterator[np.ndarray]:
+    """Every RGS of length n, in lex order, as blocks of at most BLOCK_ROWS."""
+    head = np.zeros((1, 1), dtype=np.uint8)
+    while head.shape[1] < n - 2:
+        head = _extend(head)
+    # two more positions give a prefix of m <= n - 2 clusters m*m + 2m + 2 strings
+    step = max(1, BLOCK_ROWS // ((n - 1) ** 2 + 1))
+    for start in range(0, len(head), step):
+        block = head[start : start + step]
+        for _ in range(n - head.shape[1]):
+            block = _extend(block)
+        yield block
 
 
 def enumerate_partitions(n: int) -> Iterator[Encoder]:
@@ -88,44 +76,27 @@ def enumerate_partitions(n: int) -> Iterator[Encoder]:
         raise ValueError("n must be at least 1")
     if n > MAX_EXHAUSTIVE_N:
         raise CapacityError(f"n = {n} exceeds the exhaustive cap {MAX_EXHAUSTIVE_N}")
-    for a in _rgs_iter(n):
-        yield Encoder(tuple(a))
-
-
-def _batch_objectives(rows: np.ndarray, hy: float, asn: np.ndarray):
-    """Vectorized (-H(Z), I(Z;Y)) for a (K, n) batch of label rows.
-
-    Pushed matrices are padded to n clusters; absent clusters are all-zero
-    rows and contribute nothing to either entropy.
-    """
-    k, n = asn.shape
-    onehot = np.zeros((k, n, n))
-    onehot[np.arange(k)[:, None], np.arange(n)[None, :], asn] = 1.0
-    z = np.einsum("kic,iy->kcy", onehot, rows)
-    hz = np.maximum(-xlog2x(z.sum(axis=2)).sum(axis=1), 0.0)
-    hzy = -xlog2x(z.reshape(k, -1)).sum(axis=1)
-    return -hz, np.maximum(hz + hy - hzy, 0.0)
+    for block in _rgs_blocks(n):
+        for labels in block.tolist():
+            yield Encoder(tuple(labels))
 
 
 def brute_force_frontier(joint: JointPMF) -> ParetoSet:
-    """The exact frontier: every partition evaluated and offered in lex order."""
+    """The exact frontier: every partition evaluated and offered in lex order.
+
+    A point dominated within its block cannot be on the final frontier, and
+    pareto_mask keeps the first of exact duplicates, so offering only each
+    block's maxima gives the same points and the same representatives.
+    """
     n = joint.nx
     if n > MAX_EXHAUSTIVE_N:
         raise CapacityError(f"nx = {n} exceeds the exhaustive cap {MAX_EXHAUSTIVE_N}")
-    rows = joint.p
     hy = float(-xlog2x(joint.marginal_y()).sum())
     frontier = ParetoSet()
-    if n <= _CACHE_MAX_N:
-        batches: Iterator[np.ndarray] = iter([_all_rgs(n)])
-    else:
-        batches = _rgs_batches(n)
-    for asn in batches:
-        xs, ys = _batch_objectives(rows, hy, asn)
-        for i in range(asn.shape[0]):
-            x, y = float(xs[i]), float(ys[i])
-            if frontier.is_optimal(x, y):
-                enc = Encoder(tuple(int(v) for v in asn[i]))
-                frontier.add(ParetoPoint(x, y, encoder=enc))
+    for block in _rgs_blocks(n):
+        xs, ys = _objectives(_push(block, joint.p, n), hy)
+        for i in np.flatnonzero(pareto_mask(np.column_stack((xs, ys)))):
+            frontier.offer(float(xs[i]), float(ys[i]), Encoder(tuple(block[i].tolist())))
     return frontier
 
 

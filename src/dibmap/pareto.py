@@ -8,7 +8,8 @@ newly dominated points.
 
 Dominance is weak with strict rejection of exact duplicates: a point equal
 to a stored point in both coordinates is not optimal, so one representative
-per objective pair is kept (first arrival wins).
+per objective pair is kept (first arrival wins). pareto_mask filters a
+whole batch of points by the same rule.
 """
 
 from __future__ import annotations
@@ -121,3 +122,22 @@ class ParetoSet:
                 d = min(d, self._xs[k] - x)
                 break
         return d
+
+
+def pareto_mask(points) -> np.ndarray:
+    """Boolean mask of maximal points (no other point >= in both coordinates).
+
+    Sort-based filter: scan in descending first coordinate and keep strict
+    records of the second. The sort is stable, so of exact duplicates only
+    the first in input order is kept, as ParetoSet's first arrival is.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    order = np.lexsort((-pts[:, 1], -pts[:, 0]))
+    v = pts[order, 1]
+    rec = np.empty(len(pts), dtype=bool)
+    rec[0] = True
+    if len(pts) > 1:
+        rec[1:] = v[1:] > np.maximum.accumulate(v)[:-1]
+    mask = np.empty(len(pts), dtype=bool)
+    mask[order] = rec
+    return mask

@@ -17,7 +17,7 @@ import numpy as np
 from ._util import derive_seed
 from .distributions import EmpiricalCounts, normalize_counts, xlog2x
 from .encoders import Encoder
-from .mapper import SearchConfig, SearchStats, pareto_mapper
+from .mapper import SearchConfig, SearchStats, _objectives, _push, pareto_mapper
 from .pareto import ParetoPoint, ParetoSet
 
 
@@ -56,14 +56,9 @@ def bootstrap_uncertainty(
     p_flat = (counts.n / counts.total).ravel()
     draws = rng.multinomial(counts.total, p_flat, size=reps)
     arr = draws.reshape(reps, counts.nx, counts.ny) / counts.total
-    onehot = np.zeros((f.m, f.n))
-    onehot[np.asarray(f.assignment), np.arange(f.n)] = 1.0
-    pushed = np.einsum("mi,riy->rmy", onehot, arr)
-    hz = -xlog2x(pushed.sum(axis=2)).sum(axis=1)
-    hy = -xlog2x(pushed.sum(axis=1)).sum(axis=1)
-    hzy = -xlog2x(pushed.reshape(reps, -1)).sum(axis=1)
-    xs = -np.maximum(hz, 0.0)
-    ys = np.maximum(hz + hy - hzy, 0.0)
+    labels = np.broadcast_to(np.asarray(f.assignment, dtype=np.uint8), (reps, f.n))
+    pushed = _push(labels, arr, f.m)
+    xs, ys = _objectives(pushed, -xlog2x(pushed.sum(axis=1)).sum(axis=1))
     return float(np.std(xs, ddof=1)), float(np.std(ys, ddof=1))
 
 

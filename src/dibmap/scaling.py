@@ -8,10 +8,10 @@ the quantitative oracle; complete positive/negative dependence pin the
 extremes at 1 and N. A second experiment measures how frontier size and
 search work grow with the input size of the compression problem itself.
 
-Two independent membership routes are provided: a sort-based maxima filter
-on coordinate values, and a rank-statistics route (membership depends only
-on the composed rank permutation, hence is invariant under strictly
-monotonic transformations of either axis).
+Two independent membership routes are used: the sort-based maxima filter
+pareto.pareto_mask on coordinate values, and a rank-statistics route here
+(membership depends only on the composed rank permutation, hence is
+invariant under strictly monotonic transformations of either axis).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from ._util import derive_seed, least_squares_line
 from .distributions import sample_simplex
 from .mapper import SearchConfig, pareto_mapper
 from .oracle import bell_number, brute_force_frontier
+from .pareto import pareto_mask
 
 _TAGS = ("independent", "comonotone", "countermonotone", "gaussian")
 
@@ -56,40 +57,29 @@ class CopulaKind:
 # conclusions directly, so the areas are not integrated numerically.
 
 
+def _draw_clouds(kind: CopulaKind, rng, t: int, n: int):
+    """Coordinates (u, v), each (t, n), of t clouds of n points.
+
+    For independent clouds the whole u block is drawn before the v block.
+    """
+    if kind.tag == "gaussian":
+        z = rng.standard_normal((t, n, 2))
+        u = z[:, :, 0]
+        return u, kind.r * u + math.sqrt(1.0 - kind.r**2) * z[:, :, 1]
+    u = rng.random((t, n))
+    if kind.tag == "independent":
+        return u, rng.random((t, n))
+    if kind.tag == "comonotone":
+        return u, u
+    return u, 1.0 - u
+
+
 def sample_cloud(kind: CopulaKind, n: int, seed: int) -> np.ndarray:
     """Draw an (n, 2) cloud with the given dependence; deterministic per seed."""
     if n < 1:
         raise ValueError("cloud size must be at least 1")
-    rng = np.random.default_rng(seed)
-    if kind.tag == "independent":
-        return rng.random((n, 2))
-    if kind.tag == "comonotone":
-        u = rng.random(n)
-        return np.column_stack([u, u])
-    if kind.tag == "countermonotone":
-        u = rng.random(n)
-        return np.column_stack([u, 1.0 - u])
-    z = rng.standard_normal((n, 2))
-    v = kind.r * z[:, 0] + math.sqrt(1.0 - kind.r**2) * z[:, 1]
-    return np.column_stack([z[:, 0], v])
-
-
-def pareto_mask(points) -> np.ndarray:
-    """Boolean mask of maximal points (no other point >= in both coordinates).
-
-    Sort-based filter: scan in descending first coordinate and keep strict
-    records of the second.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    order = np.lexsort((-pts[:, 1], -pts[:, 0]))
-    v = pts[order, 1]
-    rec = np.empty(len(pts), dtype=bool)
-    rec[0] = True
-    if len(pts) > 1:
-        rec[1:] = v[1:] > np.maximum.accumulate(v)[:-1]
-    mask = np.empty(len(pts), dtype=bool)
-    mask[order] = rec
-    return mask
+    u, v = _draw_clouds(kind, np.random.default_rng(seed), 1, n)
+    return np.column_stack([u[0], v[0]])
 
 
 def pareto_mask_by_ranks(points) -> np.ndarray:
@@ -130,19 +120,7 @@ def _batch_sizes(kind: CopulaKind, n: int, trials: int, seed: int) -> np.ndarray
     done = 0
     while done < trials:
         t = min(block, trials - done)
-        if kind.tag == "independent":
-            u = rng.random((t, n))
-            v = rng.random((t, n))
-        elif kind.tag == "comonotone":
-            u = rng.random((t, n))
-            v = u
-        elif kind.tag == "countermonotone":
-            u = rng.random((t, n))
-            v = 1.0 - u
-        else:
-            z = rng.standard_normal((t, n, 2))
-            u = z[:, :, 0]
-            v = kind.r * u + math.sqrt(1.0 - kind.r**2) * z[:, :, 1]
+        u, v = _draw_clouds(kind, rng, t, n)
         idx = np.argsort(-u, axis=1)
         vs = np.take_along_axis(v, idx, axis=1)
         run = np.maximum.accumulate(vs, axis=1)

@@ -224,6 +224,24 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_counts_are_exit_one(self, tmp_path, capsys, bad):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"{bad},3\n2,5\n")
+        out = tmp_path / "out.json"
+        rc = main(["robust-map", "--counts", str(path), "--epsilon", "0",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        assert "counts must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_many_symbols_is_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "wide.csv"
+        dm.save_matrix_csv(path, np.full((256, 1), 1 / 256))
+        rc = main(["map", "--pmf", str(path), "--epsilon", "0", "--seed", "1"])
+        assert rc == 1
+        assert "at most 255 input symbols" in capsys.readouterr().err
+
     def test_bad_flags_are_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["map", "--pmf", "x.csv", "--epsilon", "-3", "--seed", "1"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -224,6 +226,13 @@ class TestCounts:
             EmpiricalCounts(np.array([[0, 0]]))
         with pytest.raises(ValueError):
             EmpiricalCounts(np.array([[1, -1]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_by_name(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast warning before the check
+            with pytest.raises(ValueError, match="finite"):
+                EmpiricalCounts(np.array([[bad, 1.0], [2.0, 3.0]]))
 
 
 class TestCsv:

@@ -22,7 +22,7 @@ from dibmap import (
     upper_hull,
 )
 from dibmap.encoders import canonicalize
-from dibmap.mapper import _JointEvaluator, _merge_children
+from dibmap.mapper import _JointEvaluator, _merge_children, _objectives, _push
 
 DIAG2 = JointPMF(np.diag([0.5, 0.5]))
 
@@ -174,9 +174,43 @@ class TestGoldenCounts:
         assert (stats.points_searched, stats.enqueued, len(frontier)) == want
 
 
+class TestPush:
+    """_push, the oracle's and the bootstrap's push-forward, against
+    push_forward, exactly."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_block_of_labelings(self, seed, n, ny):
+        rng = np.random.default_rng(seed)
+        p = rng.exponential(size=(n, ny))
+        p[rng.integers(n, size=n // 3)] = 0.0
+        if p.sum() == 0.0:
+            p[0] = 1.0
+        joint = JointPMF(p / p.sum())
+        encs = [canonicalize(rng.integers(0, n, size=n)) for _ in range(6)]
+        block = np.array([f.assignment for f in encs], dtype=np.uint8)
+        pushed = _push(block, joint.p, n)
+        for f, z in zip(encs, pushed):
+            assert np.array_equal(z[: f.m], push_forward(joint, f).p)
+            assert not z[f.m :].any()
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_one_labeling_many_joints(self, seed, n, ny):
+        rng = np.random.default_rng(seed)
+        draws = rng.multinomial(300, np.full(n * ny, 1 / (n * ny)), size=7)
+        joints = draws.reshape(7, n, ny) / 300
+        f = canonicalize(rng.integers(0, n, size=n))
+        labels = np.broadcast_to(np.array(f.assignment, dtype=np.uint8), (7, n))
+        pushed = _push(labels, joints, f.m)
+        for p, z in zip(joints, pushed):
+            assert np.array_equal(z, push_forward(JointPMF(p), f).p)
+
+
 class TestMergeObjectives:
-    """The search's batched merge kernel against the from-scratch evaluation
-    and the closed form push_forward + mutual_information."""
+    """The batched kernels, the search's merge_objectives and the oracle's
+    _objectives(_push(...)), against the from-scratch evaluation and the
+    closed form push_forward + mutual_information."""
 
     @given(
         st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(1, 4),
@@ -201,16 +235,24 @@ class TestMergeObjectives:
         pairs = [rng.choice(int(parents[k].max()) + 1, size=2, replace=False) for k in parent]
         i_idx, j_idx = np.sort(pairs, axis=1).T
         xs, ys = ev.merge_objectives(parents, parent, i_idx, j_idx)
+        keys = []
         for k in range(len(parent)):
             lab = parents[parent[k]]
             f = canonicalize(np.where(lab == j_idx[k], i_idx[k], lab))
             key = bytes(f.assignment)
             child = _merge_children(lab[None], i_idx[k : k + 1], j_idx[k : k + 1])
             assert child.tobytes() == key
-            pushed = push_forward(joint, f)
-            for x, y in (ev.evaluate(key), (-entropy(pushed.marginal_x()), mutual_information(pushed))):
-                assert xs[k] == pytest.approx(x, abs=1e-12)
-                assert ys[k] == pytest.approx(y, abs=1e-12)
+            keys.append(key)
+        # the oracle's kernel, on the same children padded to n clusters
+        block = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(-1, n)
+        bx, by = _objectives(_push(block, joint.p, n), ev.hy)
+        for k, key in enumerate(keys):
+            pushed = push_forward(joint, Encoder(tuple(key)))
+            closed = (-entropy(pushed.marginal_x()), mutual_information(pushed))
+            for x, y in (ev.evaluate(key), closed):
+                for u, v in ((xs[k], ys[k]), (bx[k], by[k])):
+                    assert u == pytest.approx(x, abs=1e-12)
+                    assert v == pytest.approx(y, abs=1e-12)
 
     def test_single_symbol_evaluates_only_the_identity(self):
         joint = JointPMF(np.array([[0.5, 0.5]]))

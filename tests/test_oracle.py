@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +17,10 @@ from dibmap import (
     precision_recall,
     sample_simplex,
 )
+from dibmap.distributions import xlog2x
+from dibmap.encoders import canonicalize
+from dibmap.mapper import _objectives, _push
+from dibmap.oracle import BLOCK_ROWS, _rgs_blocks
 
 
 class TestEnumeration:
@@ -49,6 +55,18 @@ class TestEnumeration:
             next(enumerate_partitions(14))
         with pytest.raises(ValueError):
             next(enumerate_partitions(0))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_blocks_are_every_canonical_labeling_in_order(self, n):
+        every = sorted({canonicalize(a).assignment
+                        for a in itertools.product(range(n), repeat=n)})
+        got = [tuple(r) for r in np.concatenate(list(_rgs_blocks(n))).tolist()]
+        assert got == every
+
+    def test_blocks_are_bounded(self):
+        sizes = [len(b) for b in _rgs_blocks(10)]
+        assert sum(sizes) == bell_number(10)
+        assert len(sizes) > 1 and max(sizes) <= BLOCK_ROWS
 
     def test_bell_recurrence(self):
         # B(n+1) = sum_k C(n, k) B(k)
@@ -102,6 +120,51 @@ class TestBruteForceFrontier:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             brute_force_frontier(sample_simplex(14, 2, seed=0))
+
+    def test_block_maxima_prefilter_changes_nothing(self):
+        # every partition offered, unfiltered, in lex order
+        joint = repeated_row_joint()
+        hy = float(-xlog2x(joint.marginal_y()).sum())
+        full = ParetoSet()
+        for block in _rgs_blocks(joint.nx):
+            xs, ys = _objectives(_push(block, joint.p, joint.nx), hy)
+            for labels, x, y in zip(block.tolist(), xs.tolist(), ys.tolist()):
+                full.offer(x, y, dm.Encoder(tuple(labels)))
+        got = [(p.x, p.y, p.encoder) for p in brute_force_frontier(joint)]
+        assert got == [(p.x, p.y, p.encoder) for p in full]
+
+
+def repeated_row_joint():
+    """Ten rows drawn from four: many partitions tie exactly."""
+    base = sample_simplex(4, 3, 7).p
+    p = base[[0, 1, 2, 3, 0, 1, 2, 0, 1, 0]]
+    return JointPMF(p / p.sum())
+
+
+class TestGoldenFrontier:
+    """Digests of exact frontier bytes, values and representative encoders.
+
+    Any rewrite of the enumeration or the objective arithmetic must leave
+    them unchanged: the repeated-row joint pins which encoder arrives first
+    at an exact tie, and ny = 1 pins float noise around I = 0.
+    """
+
+    @pytest.mark.parametrize(
+        "make_joint, want",
+        [
+            (lambda: sample_simplex(9, 5, 3),
+             "0e54b6c0a0c22a8ed55e879b7984a5c8db88e2439d14cbaa5e97c600bdcb5451"),
+            (lambda: sample_simplex(11, 1, 5),
+             "4b1645a6721d316c765d62bb1fa38b9397c0d5f7b7fb7949d80cefe8766e7d11"),
+            (repeated_row_joint,
+             "606229077169f200376393a147024af63017b2ccc3b8006cb25e36315e71af8b"),
+        ],
+        ids=["9x5", "11x1", "repeated-rows-10x3"],
+    )
+    def test_digest(self, make_joint, want):
+        frontier = brute_force_frontier(make_joint())
+        text = "".join(f"{p.x!r} {p.y!r} {p.encoder.assignment}\n" for p in frontier)
+        assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 class TestPrecisionRecall:

@@ -12,7 +12,7 @@ from dibmap import (
     scaling_experiment,
 )
 from dibmap._util import least_squares_line
-from dibmap.scaling import fit_power_law
+from dibmap.scaling import _batch_sizes, fit_power_law
 
 INDEP = CopulaKind("independent")
 
@@ -48,6 +48,17 @@ class TestSampleCloud:
         for seed in range(10):
             cloud = sample_cloud(CopulaKind("countermonotone"), 137, seed)
             assert pareto_size(cloud) == 137
+
+    @pytest.mark.parametrize(
+        "kind",
+        [INDEP, CopulaKind("comonotone"), CopulaKind("countermonotone"),
+         CopulaKind("gaussian", -0.4)],
+        ids=lambda k: k.tag,
+    )
+    def test_single_cloud_of_the_batch_sampler(self, kind):
+        for seed in range(5):
+            cloud = sample_cloud(kind, 300, seed)
+            assert pareto_size(cloud) == _batch_sizes(kind, 300, 1, seed)[0]
 
     def test_gaussian_correlation_realized(self):
         cloud = sample_cloud(CopulaKind("gaussian", 0.7), 200_000, 3)
