@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -199,6 +200,78 @@ class TestDatasetCommands:
         assert labels.read_text().splitlines()[0] == "1"
         ref = dm.group_joint(dm.make_group("zmod40x"))
         np.testing.assert_allclose(triple.p, ref.p, atol=1e-15)
+
+
+class TestGoldenOutputs:
+    """sha256 digests of CLI output on small fixed inputs.
+
+    Inputs live under relative names in a fresh directory, so the paths a
+    document echoes in its meta are the same on every run. Any rewrite of
+    the commands' flags, documents or writers must leave these unchanged.
+    """
+
+    @pytest.fixture
+    def inputs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        dm.save_matrix_csv("joint.csv", dm.sample_simplex(7, 4, seed=2).p)
+        counts = dm.multinomial_sample(dm.sample_simplex(6, 4, seed=3), 300, 8)
+        dm.save_matrix_csv("counts.csv", counts.n, fmt="%d")
+        p = np.random.default_rng(0).exponential(size=(4, 4, 3))
+        dm.save_triple_csv("triple.csv", dm.TripleJointPMF(p / p.sum()))
+        (tmp_path / "text.txt").write_text("Héllo, World! The quick brown fox.")
+        assert main(["map", "--pmf", "joint.csv", "--epsilon", "0", "--seed", "1",
+                     "--out", "candidate.json"]) == 0
+
+    @staticmethod
+    def stdout_of(capsys, argv) -> bytes:
+        capsys.readouterr()
+        assert main(argv) == 0
+        return capsys.readouterr().out.encode()
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["robust-map", "--counts", "counts.csv", "--epsilon", "0.05",
+              "--seed", "4", "--bootstrap-reps", "10"],
+             "50462fbfda881f4b36e14d863b42eda46cf30442dec2997f318aa04a55646855"),
+            (["oracle", "--pmf", "joint.csv", "--candidate", "candidate.json"],
+             "d7d90d31a5dd1a1493b80d3416e774661b062f4ae440445f9fdf9264cd583780"),
+            (["map", "--pmf", "joint.csv", "--epsilon", "0.05", "--seed", "2",
+              "--format", "csv"],
+             "bfdeab85ae54344c2128a9abbd48ef246132aa7e90661696e442080db545aa56"),
+            (["scaling", "--kind", "independent", "--n-values", "16,32",
+              "--trials", "50", "--seed", "3"],
+             "115329b5f61a7081cb82a31e1048f18422c36efccd412541cdbd98248a4fa5f1"),
+            (["scaling", "--kind", "dib", "--engine", "greedy", "--n-values", "3,4",
+              "--trials", "3", "--seed", "1", "--ny", "5"],
+             "fd5cbc885417cb04dd83ede5c970effb416ca1f1e661333e6b519f15c1ba45cb"),
+            (["ingest-bigrams", "text.txt"],
+             "a5b1948596e873f9f11063a2f0d7a6f30bad4f739f345e439acedc5dc6ee8ae4"),
+            (["group", "pauli"],
+             "e8c7981930f8429784f715ca21857d3f6859f2e2acf1676f34aa3eff6b5368f6"),
+        ],
+        ids=["robust-map", "oracle-candidate", "map-csv", "scaling-cloud",
+             "scaling-dib-greedy", "ingest-bigrams", "group-pauli"],
+    )
+    def test_bytes(self, inputs, capsys, argv, want):
+        out = self.stdout_of(capsys, argv)
+        assert hashlib.sha256(out).hexdigest() == want
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["map", "--pmf", "joint.csv", "--epsilon", "0.05", "--seed", "2"],
+             "7bd7182786a6d145652913d51aa9a6b053f990a527b01dc2853454157946eb4c"),
+            (["symmetric-map", "--triple", "triple.csv", "--epsilon", "0.05",
+              "--seed", "2"],
+             "a25f8a4104aa3f42def2b1e21c198f40e72b556b9ed6eff8f2ac9121fd47c62e"),
+        ],
+        ids=["map", "symmetric-map"],
+    )
+    def test_points(self, inputs, capsys, argv, want):
+        doc = json.loads(self.stdout_of(capsys, argv))
+        points = json.dumps(doc["points"], indent=2).encode()
+        assert hashlib.sha256(points).hexdigest() == want
 
 
 class TestExitCodes:
