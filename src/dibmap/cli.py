@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,17 +37,20 @@ from .symmetric import load_triple_csv, save_triple_csv, symmetric_pareto_mapper
 
 def _epsilon(value: str) -> float:
     eps = float(value)
-    if eps < 0:
+    if not eps >= 0:  # also rejects NaN
         raise argparse.ArgumentTypeError("epsilon must be >= 0 (or 'inf')")
     return eps
 
 
+def _tolerance(value: str) -> float:
+    tol = float(value)
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError("tol must be finite and >= 0")
+    return tol
+
+
 def _int_list(value: str) -> list[int]:
     return [int(v) for v in value.split(",")]
-
-
-def _epsilon_echo(eps: float) -> object:
-    return "inf" if eps == float("inf") else eps
 
 
 def _point_entries(frontier: ParetoSet, kept=None) -> list[dict]:
@@ -98,27 +102,28 @@ def _emit_document(args, doc: dict, entries: list[dict]) -> int:
     return 0
 
 
-def _stats_echo(stats) -> dict:
-    return {"points_searched": stats.points_searched, "enqueued": stats.enqueued}
-
-
-def _cmd_map(args) -> int:
-    joint = load_joint_csv(args.pmf)
-    cfg = SearchConfig(epsilon=args.epsilon, seed=args.seed, dedup=not args.no_dedup)
-    frontier, stats = pareto_mapper(joint, cfg)
-    entries = _point_entries(frontier)
+def _emit_search(args, source_key, source, cfg, frontier, stats, kept=None, **extra) -> int:
+    """Write a search command's document: meta, then the frontier's points."""
+    entries = _point_entries(frontier, kept=kept)
     doc = {
         "meta": {
-            "command": "map",
-            "pmf": str(args.pmf),
-            "epsilon": _epsilon_echo(cfg.epsilon),
+            "command": args.command,
+            source_key: source,
+            "epsilon": "inf" if math.isinf(cfg.epsilon) else cfg.epsilon,
             "seed": cfg.seed,
-            "dedup": cfg.dedup,
-            "stats": _stats_echo(stats),
+            **extra,
+            "stats": {"points_searched": stats.points_searched, "enqueued": stats.enqueued},
         },
         "points": entries,
     }
     return _emit_document(args, doc, entries)
+
+
+def _cmd_map(args) -> int:
+    joint = load_joint_csv(args.pmf)
+    cfg = SearchConfig(epsilon=args.epsilon, seed=args.seed)
+    frontier, stats = pareto_mapper(joint, cfg)
+    return _emit_search(args, "pmf", str(args.pmf), cfg, frontier, stats)
 
 
 def _cmd_robust_map(args) -> int:
@@ -130,20 +135,8 @@ def _cmd_robust_map(args) -> int:
         z=args.z,
     )
     kept, frontier, stats = robust_pareto_mapper(counts, cfg)
-    entries = _point_entries(frontier, kept=kept)
-    doc = {
-        "meta": {
-            "command": "robust-map",
-            "counts": str(args.counts),
-            "epsilon": _epsilon_echo(cfg.epsilon),
-            "seed": cfg.seed,
-            "bootstrap_reps": cfg.bootstrap_reps,
-            "z": cfg.z,
-            "stats": _stats_echo(stats),
-        },
-        "points": entries,
-    }
-    return _emit_document(args, doc, entries)
+    return _emit_search(args, "counts", str(args.counts), cfg, frontier, stats, kept=kept,
+                        bootstrap_reps=cfg.bootstrap_reps, z=cfg.z)
 
 
 def _cmd_symmetric_map(args) -> int:
@@ -153,21 +146,9 @@ def _cmd_symmetric_map(args) -> int:
     else:
         triple = load_triple_csv(args.triple)
         source = str(args.triple)
-    cfg = SearchConfig(epsilon=args.epsilon, seed=args.seed, dedup=not args.no_dedup)
+    cfg = SearchConfig(epsilon=args.epsilon, seed=args.seed)
     frontier, stats = symmetric_pareto_mapper(triple, cfg)
-    entries = _point_entries(frontier)
-    doc = {
-        "meta": {
-            "command": "symmetric-map",
-            "input": source,
-            "epsilon": _epsilon_echo(cfg.epsilon),
-            "seed": cfg.seed,
-            "dedup": cfg.dedup,
-            "stats": _stats_echo(stats),
-        },
-        "points": entries,
-    }
-    return _emit_document(args, doc, entries)
+    return _emit_search(args, "input", source, cfg, frontier, stats)
 
 
 def _load_candidate(path) -> ParetoSet:
@@ -204,39 +185,29 @@ def _cmd_scaling(args) -> int:
         rows = dib_frontier_scaling(
             args.n_values, args.trials, args.seed, ny=args.ny, engine=args.engine
         )
+        columns = ["mean_frontier", "mean_searched"]
         if args.timing:
-            lines = ["n,mean_frontier,mean_searched,mean_seconds"] + [
-                f"{r.n},{r.mean_frontier!r},{r.mean_searched!r},{r.mean_seconds!r}"
-                for r in rows
-            ]
-        else:
-            lines = ["n,mean_frontier,mean_searched"] + [
-                f"{r.n},{r.mean_frontier!r},{r.mean_searched!r}" for r in rows
-            ]
+            columns.append("mean_seconds")
     else:
         kind = CopulaKind(args.kind, args.r if args.kind == "gaussian" else None)
         rows = scaling_experiment(kind, args.n_values, args.trials, args.seed)
-        lines = ["n,mean,std"] + [f"{r.n},{r.mean!r},{r.std!r}" for r in rows]
+        columns = ["mean", "std"]
+    lines = [",".join(["n", *columns])] + [
+        ",".join([str(r.n), *(repr(getattr(r, c)) for c in columns)]) for r in rows
+    ]
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_ingest_bigrams(args) -> int:
     counts = ingest_bigrams(Path(args.text).read_bytes())
-    if args.out is None:
-        save_matrix_csv(sys.stdout, counts.n, fmt="%d")
-    else:
-        save_matrix_csv(args.out, counts.n, fmt="%d")
+    save_matrix_csv(args.out or sys.stdout, counts.n, fmt="%d")
     return 0
 
 
 def _cmd_group(args) -> int:
     table = make_group(args.name)
-    triple = group_joint(table)
-    if args.out is None:
-        save_triple_csv(sys.stdout, triple)
-    else:
-        save_triple_csv(args.out, triple)
+    save_triple_csv(args.out or sys.stdout, group_joint(table))
     if args.labels_out is not None:
         Path(args.labels_out).write_text("\n".join(table.labels) + "\n")
     return 0
@@ -252,8 +223,6 @@ def _add_search_flags(sub) -> None:
     sub.add_argument("--epsilon", type=_epsilon, required=True,
                      help="search depth scale in bits; 'inf' for brute force")
     sub.add_argument("--seed", type=int, required=True)
-    sub.add_argument("--no-dedup", action="store_true",
-                     help="re-enqueue partitions reachable via multiple merge orders")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("robust-map", help="map the frontier of a counts matrix")
     p.add_argument("--counts", required=True, help="sample-count CSV")
-    p.add_argument("--epsilon", type=_epsilon, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    _add_search_flags(p)
     p.add_argument("--bootstrap-reps", type=int, default=100)
     p.add_argument("--z", type=float, default=1.0,
                    help="significance interval width, in standard deviations")
@@ -291,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmf", required=True)
     p.add_argument("--candidate", default=None,
                    help="frontier JSON to score against the exact frontier")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_oracle)
 

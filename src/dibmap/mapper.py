@@ -48,17 +48,13 @@ class SearchConfig:
     """Tuning knobs for one search run.
 
     epsilon is the search depth scale in bits (math.inf for brute force).
-    dedup skips clusterings whose partition was already evaluated via a
-    different merge order; disable it to follow the literal re-enqueueing
-    procedure.
     """
 
     epsilon: float
     seed: int
-    dedup: bool = True
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # also rejects NaN
             raise ValueError("epsilon must be >= 0")
 
 
@@ -67,9 +63,9 @@ class SearchStats:
     """Work counters for one run.
 
     points_searched counts objective evaluations actually consumed (one per
-    offered child plus the identity); with dedup on, every canonical
-    partition is counted at most once. enqueued counts the clusterings
-    kept as parents, the identity included.
+    offered child plus the identity); every canonical partition is counted
+    at most once. enqueued counts the clusterings kept as parents, the
+    identity included.
     """
 
     points_searched: int
@@ -81,11 +77,13 @@ def enqueue_probability(d: float, epsilon: float) -> float:
     """exp(-d / epsilon), with the greedy and brute-force limits.
 
     epsilon = 0 returns 1 for d = 0 and 0 otherwise; an infinite epsilon
-    always returns 1.
+    always returns 1. The greedy search does not call this at epsilon = 0:
+    it keeps only the children that enter the frontier, not the wall ties
+    that also have d = 0.
     """
-    if d < 0:
+    if not d >= 0:  # also rejects NaN
         raise ValueError("distance must be >= 0")
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be >= 0")
     if math.isinf(epsilon):
         return 1.0
@@ -212,17 +210,15 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
         i_idx, j_idx = np.triu_indices(m, k=1)
         per_chunk = max(1, CHUNK_CHILDREN // len(i_idx))
         # np.unique dedups within a chunk; a set catches repeats across chunks
-        seen = set() if cfg.dedup and len(level) > per_chunk else None
+        seen = set() if len(level) > per_chunk else None
         kept: list[bytes] = []
         for start in range(0, len(level), per_chunk):
             parents = level[start : start + per_chunk]
             children = _merge_children(parents, i_idx, j_idx)
             u = rng.random(len(children))  # one draw per child, in pair order
-            if cfg.dedup:  # first occurrence of each partition
-                _, new = np.unique(children.view(f"V{n}").ravel(), return_index=True)
-                new.sort()
-            else:
-                new = np.arange(len(children))
+            # first occurrence of each partition
+            _, new = np.unique(children.view(f"V{n}").ravel(), return_index=True)
+            new.sort()
             flat = children[new].tobytes()
             keys = [flat[k : k + n] for k in range(0, len(flat), n)]
             if seen is not None:
@@ -286,7 +282,7 @@ def upper_hull(frontier) -> list[ParetoPoint]:
     exactly on a hull edge (collinear runs) are retained; endpoints always
     are.
     """
-    pts = frontier.points if isinstance(frontier, ParetoSet) else list(frontier)
+    pts = list(frontier)
     if len(pts) <= 2:
         return pts
     hull: list[ParetoPoint] = []

@@ -12,6 +12,7 @@ and only the block's own maxima are offered to the frontier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -117,8 +118,8 @@ def precision_recall(
 ) -> FrontierScore:
     """Score a candidate frontier: a point is a true positive iff some truth
     point matches both coordinates within tol."""
-    if tol < 0:
-        raise ValueError("tolerance must be >= 0")
+    if not 0 <= tol < math.inf:  # also rejects NaN
+        raise ValueError("tolerance must be finite and >= 0")
     cand = candidate.objectives()
     true = truth.objectives()
     if len(cand) and len(true):

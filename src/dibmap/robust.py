@@ -10,6 +10,7 @@ low-variance points win ties.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,8 @@ class RobustConfig:
     def __post_init__(self):
         if self.bootstrap_reps < 2:
             raise ValueError("bootstrap_reps must be at least 2")
-        if self.z <= 0:
-            raise ValueError("z must be positive")
+        if not 0 < self.z < math.inf:  # also rejects NaN
+            raise ValueError("z must be positive and finite")
 
 
 def bootstrap_uncertainty(

@@ -273,6 +273,18 @@ class TestGoldenOutputs:
         points = json.dumps(doc["points"], indent=2).encode()
         assert hashlib.sha256(points).hexdigest() == want
 
+    @pytest.mark.parametrize(
+        "argv, source",
+        [(["map", "--pmf", "joint.csv"], "pmf"),
+         (["symmetric-map", "--triple", "triple.csv"], "input")],
+        ids=["map", "symmetric-map"],
+    )
+    def test_search_meta_keys(self, inputs, capsys, argv, source):
+        doc = json.loads(
+            self.stdout_of(capsys, [*argv, "--epsilon", "0.05", "--seed", "2"])
+        )
+        assert list(doc["meta"]) == ["command", source, "epsilon", "seed", "stats"]
+
 
 class TestExitCodes:
     def test_missing_file_is_exit_one(self, tmp_path, capsys):
@@ -314,6 +326,49 @@ class TestExitCodes:
         rc = main(["map", "--pmf", str(path), "--epsilon", "0", "--seed", "1"])
         assert rc == 1
         assert "at most 255 input symbols" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["map", "--pmf", "joint.csv"],
+         ["robust-map", "--counts", "counts.csv"],
+         ["symmetric-map", "--triple", "triple.csv"]],
+        ids=["map", "robust-map", "symmetric-map"],
+    )
+    def test_nan_epsilon_is_exit_two(self, tmp_path, argv):
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--epsilon", "nan", "--seed", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_no_dedup_flag_is_gone(self, diag2):
+        with pytest.raises(SystemExit) as exc:
+            main(["map", "--pmf", str(diag2), "--epsilon", "0", "--seed", "1",
+                  "--no-dedup"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("z", ["nan", "inf"])
+    def test_non_finite_z_is_exit_one(self, tmp_path, capsys, z):
+        path = tmp_path / "counts.csv"
+        path.write_text("4,3\n2,5\n")
+        out = tmp_path / "out.json"
+        rc = main(["robust-map", "--counts", str(path), "--epsilon", "0",
+                   "--seed", "1", "--z", z, "--out", str(out)])
+        assert rc == 1
+        assert "z must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+    @pytest.mark.parametrize("candidate", [False, True])
+    def test_bad_tol_is_exit_two(self, tmp_path, diag2, tol, candidate):
+        out = tmp_path / "out.json"
+        argv = ["oracle", "--pmf", str(diag2), "--tol", tol, "--out", str(out)]
+        if candidate:
+            argv += ["--candidate", str(diag2)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_bad_flags_are_exit_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -201,3 +201,9 @@ class TestPrecisionRecall:
         cand.add(ParetoPoint(-1.0 + 5e-10, 1.0 - 5e-10))
         assert precision_recall(cand, truth).tp == 1
         assert precision_recall(cand, truth, tol=1e-12).tp == 0
+
+    @pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        truth = ParetoSet([ParetoPoint(-1.0, 1.0)])
+        with pytest.raises(ValueError):
+            precision_recall(truth, truth, tol=tol)

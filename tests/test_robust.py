@@ -176,3 +176,8 @@ class TestRobustParetoMapper:
             RobustConfig(0.1, 0, bootstrap_reps=1)
         with pytest.raises(ValueError):
             RobustConfig(0.1, 0, z=0.0)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf])
+    def test_non_finite_z_rejected(self, z):
+        with pytest.raises(ValueError):
+            RobustConfig(0.1, 0, z=z)
