@@ -171,6 +171,8 @@ def dib_frontier_scaling(
     """
     if engine not in ("oracle", "greedy"):
         raise ValueError("engine must be 'oracle' or 'greedy'")
+    if trials < 1:
+        raise ValueError("at least 1 trial is required")
     rows = []
     for n in n_values:
         front = np.empty(trials)

@@ -370,6 +370,14 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert not out.exists()
 
+    def test_zero_dib_trials_is_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "dib.csv"
+        rc = main(["scaling", "--kind", "dib", "--n-values", "3", "--trials", "0",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        assert "at least 1 trial" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_flags_are_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["map", "--pmf", "x.csv", "--epsilon", "-3", "--seed", "1"])

@@ -140,6 +140,10 @@ class TestDibFrontierScaling:
         with pytest.raises(ValueError):
             dib_frontier_scaling([4], 3, 0, engine="annealing")
 
+    def test_requires_a_trial(self):
+        with pytest.raises(ValueError):
+            dib_frontier_scaling([4], 0, 0)
+
     def test_generic_two_symbol_frontier_has_two_points(self):
         rows = dib_frontier_scaling([2], 10, seed=4, ny=6, engine="oracle")
         assert rows[0].mean_frontier == 2.0
