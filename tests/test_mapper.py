@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -142,6 +143,15 @@ class TestParetoMapper:
             SearchConfig(epsilon=math.nan, seed=0)
 
 
+def frontier_digest(frontier):
+    """sha256 of a frontier's exact values and representative encoders."""
+    text = "".join(f"{p.x!r} {p.y!r} {p.encoder.assignment}\n" for p in frontier)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+FRONTIER_9X5 = "cfd3d3f6126c3e39deccee8a5fb8138b89a8778930c6637484c40c57dc90033c"
+
+
 def count_joint(n, seed):
     """An empirical n x n joint from 2000 samples of a random one."""
     counts = dm.multinomial_sample(sample_simplex(n, n, seed), 2000, seed + 1)
@@ -149,24 +159,57 @@ def count_joint(n, seed):
 
 
 class TestGoldenCounts:
-    """Exact work counters and frontier sizes of fixed runs.
+    """Exact work counters, frontier sizes and frontier bytes of fixed runs.
 
     They move whenever the offer order, the dedup rule or the RNG stream
     changes, so any rewrite of the search loop must leave them as they are.
+    The 9x5 runs cover the greedy, the finite-epsilon and the brute-force
+    keep rules; all of them find the same 40-point frontier.
     """
 
     @pytest.mark.parametrize(
-        "make_joint, cfg, want",
+        "make_joint, cfg, want, digest",
         [
-            (lambda: sample_simplex(9, 5, 1), SearchConfig(0.05, 3), (12264, 2295, 40)),
-            (lambda: sample_simplex(9, 5, 1), SearchConfig(math.inf, 3), (21147, 21147, 40)),
-            (lambda: count_joint(20, 8), SearchConfig(0.0, 2), (213571, 3024, 216)),
+            (lambda: sample_simplex(9, 5, 1), SearchConfig(0.0, 3), (2023, 244, 40),
+             FRONTIER_9X5),
+            (lambda: sample_simplex(9, 5, 1), SearchConfig(0.02, 3), (5310, 704, 40),
+             FRONTIER_9X5),
+            (lambda: sample_simplex(9, 5, 1), SearchConfig(0.05, 3), (12264, 2295, 40),
+             FRONTIER_9X5),
+            (lambda: sample_simplex(9, 5, 1), SearchConfig(0.3, 3), (21099, 13406, 40),
+             FRONTIER_9X5),
+            (lambda: sample_simplex(9, 5, 1), SearchConfig(math.inf, 3), (21147, 21147, 40),
+             FRONTIER_9X5),
+            (lambda: count_joint(20, 8), SearchConfig(0.0, 2), (213571, 3024, 216),
+             "bb56b2c76f2a4786f065012b69cc41036113d542f1c8f6a441c17473ce5aff2a"),
         ],
-        ids=["9x5-eps0.05", "9x5-inf", "20x20-counts-eps0"],
+        ids=["9x5-eps0", "9x5-eps0.02", "9x5-eps0.05", "9x5-eps0.3", "9x5-inf",
+             "20x20-counts-eps0"],
     )
-    def test_counts(self, make_joint, cfg, want):
+    def test_counts(self, make_joint, cfg, want, digest):
         frontier, stats = pareto_mapper(make_joint(), cfg)
         assert (stats.points_searched, stats.enqueued, len(frontier)) == want
+        assert frontier_digest(frontier) == digest
+
+
+class TestRowPermutation:
+    """Relabelling the input symbols moves no objective value: permuting
+    the rows of a joint leaves the exhaustive and the brute-force search
+    frontiers' value sets equal up to summation order."""
+
+    @pytest.mark.parametrize("nx, ny, seed", [(6, 4, 21), (7, 3, 22), (8, 5, 23), (9, 2, 24)])
+    def test_values_invariant(self, nx, ny, seed):
+        joint = sample_simplex(nx, ny, seed)
+        perm = np.random.default_rng(seed).permutation(nx)
+        permuted = JointPMF(joint.p[perm])
+        for search in (
+            dm.brute_force_frontier,
+            lambda j: pareto_mapper(j, SearchConfig(math.inf, seed=0))[0],
+        ):
+            a = np.array(frontier_pairs(search(joint)))
+            b = np.array(frontier_pairs(search(permuted)))
+            assert a.shape == b.shape
+            assert np.abs(a - b).max() <= 1e-12
 
 
 class TestPush:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -331,12 +332,22 @@ class TestGoldenCounts:
     """Exact work counters of fixed D4 runs; see test_mapper.TestGoldenCounts."""
 
     @pytest.mark.parametrize(
-        "epsilon, want", [(0.0, (199, 30, 14)), (math.inf, (4140, 4140, 14))]
+        "epsilon, want",
+        [(0.0, (199, 30, 14)), (math.inf, (4140, 4140, 14)), (0.05, (4050, 2349, 14))],
     )
     def test_d4_counts(self, epsilon, want):
         triple = group_joint(dihedral4())
         frontier, stats = symmetric_pareto_mapper(triple, SearchConfig(epsilon, seed=1))
         assert (stats.points_searched, stats.enqueued, len(frontier)) == want
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05, math.inf])
+    def test_d4_frontier_bytes(self, epsilon):
+        triple = group_joint(dihedral4())
+        frontier, _ = symmetric_pareto_mapper(triple, SearchConfig(epsilon, seed=1))
+        text = "".join(f"{p.x!r} {p.y!r} {p.encoder.assignment}\n" for p in frontier)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "d0a5e6bae6f0a6a1e642ad87e330905f05fa551483f5769f766fecf1e4421e67"
+        )
 
 
 class TestTripleCsv:
