@@ -25,6 +25,16 @@ the offer is decided on that path-independent value: one partition, or
 two with equal objectives, never becomes several frontier points.
 Clusterings travel as canonical label byte strings; Encoder objects are
 materialized only for points that enter the frontier.
+
+Most children are far inside the dominated region, so each block of
+OFFER_BLOCK children is first tested against a snapshot of the frontier in
+one batched query. A child is skipped when its corner (x + r, y + r) is
+dominated; its reach r (see _reach) makes such a child provably one the
+offer would neither re-evaluate nor admit, and fixes its keep decision:
+dropped below an infinite epsilon, kept at it. The dominated region only
+grows during a search, so a corner dominated by the snapshot is dominated
+at offer time too, and skipping these children leaves the frontier, the
+counters and the random draws exactly as offering them would.
 """
 
 from __future__ import annotations
@@ -41,6 +51,9 @@ from .pareto import ParetoPoint, ParetoSet
 
 CHUNK_CHILDREN = 1 << 16
 """Merge children built and evaluated per batch; bounds a level's memory."""
+
+OFFER_BLOCK = 256
+"""Children tested against one frontier snapshot before they are offered."""
 
 
 @dataclass(frozen=True)
@@ -90,6 +103,29 @@ def enqueue_probability(d: float, epsilon: float) -> float:
     if epsilon == 0.0:
         return 1.0 if d == 0.0 else 0.0
     return math.exp(-d / epsilon)
+
+
+def _reach(draws: np.ndarray, epsilon: float) -> np.ndarray:
+    """Per child, a distance r such that a child whose corner (x + r, y + r)
+    is dominated by the frontier is neither re-evaluated, entered nor, for
+    epsilon < inf, kept; at epsilon = inf it is kept.
+
+    The dominated region is a down-set, so a dominated corner puts every
+    exit of the staircase from (x, y) at least r away: distance() returns r
+    less a few ulps of the coordinates, far inside INFO_TOL. With r >= 2 *
+    INFO_TOL that is d > INFO_TOL, so the child is not evaluated again and,
+    as d != 0, does not enter; at epsilon = 0 it is dropped, and at epsilon
+    = inf it is kept, since every draw is below 1. For 0 < epsilon < inf
+    the child is dropped when draw >= exp(-d / epsilon). Here d / epsilon
+    >= -ln(draw) + 1e-12, so exp(-d / epsilon) lies at least a relative
+    1e-12 below the draw, while computing it errs by a few ulps (draws are
+    at least 2^-53, so -ln(draw) <= 37). A zero draw gives r = inf and is
+    never filtered.
+    """
+    if epsilon == 0.0 or math.isinf(epsilon):
+        return np.full(len(draws), 2 * INFO_TOL)
+    with np.errstate(divide="ignore"):
+        return 2 * INFO_TOL + epsilon * (1e-12 - np.log(draws))
 
 
 def _merge_children(parents: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
@@ -191,6 +227,7 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
     rng = np.random.default_rng(cfg.seed)
     epsilon = cfg.epsilon
     greedy = epsilon == 0.0
+    brute = math.isinf(epsilon)
     frontier = ParetoSet()
 
     identity = bytes(range(n))
@@ -200,6 +237,7 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
     enqueued = 1
 
     evaluate = evaluator.evaluate
+    dominated = frontier.dominated
     distance = frontier.distance
     is_optimal = frontier.is_optimal
     add = frontier.add
@@ -228,19 +266,31 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
                 keys = [keys[k] for k in fresh]
             parent, pair = np.divmod(new, len(i_idx))
             xs, ys = evaluator.merge_objectives(parents, parent, i_idx[pair], j_idx[pair])
+            draws = u[new]
+            reach = _reach(draws, epsilon)
             searched += len(keys)
-            for key, x, y, draw in zip(keys, xs.tolist(), ys.tolist(), u[new].tolist()):
-                d = distance(x, y)
-                if d <= INFO_TOL:  # a tie may hinge on the path-dependent last bits
-                    x, y = evaluate(key)
+            # a child the snapshot test drops keeps this verdict (see _reach)
+            keep = np.full(len(keys), brute)
+            for lo in range(0, len(keys), OFFER_BLOCK):
+                hi = lo + OFFER_BLOCK
+                r = reach[lo:hi]
+                # the frontier only grows, so this snapshot's verdicts hold
+                # for the whole block
+                live = lo + np.flatnonzero(~dominated(xs[lo:hi] + r, ys[lo:hi] + r))
+                for k, x, y, draw in zip(
+                    live.tolist(), xs[live].tolist(), ys[live].tolist(), draws[live].tolist()
+                ):
+                    key = keys[k]
                     d = distance(x, y)
-                entered = d == 0.0 and is_optimal(x, y)
-                if entered:
-                    add(ParetoPoint(x, y, encoder=Encoder(tuple(key))))
-                # at epsilon = 0, d is also 0 on the walls: keep entries only
-                keep = entered if greedy else draw < enqueue_probability(d, epsilon)
-                if keep:
-                    kept.append(key)
+                    if d <= INFO_TOL:  # a tie may hinge on the path-dependent last bits
+                        x, y = evaluate(key)
+                        d = distance(x, y)
+                    entered = d == 0.0 and is_optimal(x, y)
+                    if entered:
+                        add(ParetoPoint(x, y, encoder=Encoder(tuple(key))))
+                    # at epsilon = 0, d is also 0 on the walls: keep entries only
+                    keep[k] = entered if greedy else draw < enqueue_probability(d, epsilon)
+            kept.extend(keys[k] for k in np.flatnonzero(keep).tolist())
         enqueued += len(kept)
         level = np.frombuffer(b"".join(kept), dtype=np.uint8).reshape(-1, n)
         m -= 1

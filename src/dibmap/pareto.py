@@ -9,7 +9,8 @@ newly dominated points.
 Dominance is weak with strict rejection of exact duplicates: a point equal
 to a stored point in both coordinates is not optimal, so one representative
 per objective pair is kept (first arrival wins). pareto_mask filters a
-whole batch of points by the same rule.
+whole batch of points by the same rule, and ParetoSet.dominated answers
+is_optimal for a whole batch of probes at once.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ class ParetoSet:
     def __init__(self, points: Optional[Iterator[ParetoPoint]] = None):
         self._xs: list[float] = []
         self._points: list[ParetoPoint] = []
+        self._arrays: Optional[tuple[np.ndarray, np.ndarray]] = None
         if points is not None:
             for p in points:
                 self.add(p)
@@ -71,6 +73,21 @@ class ParetoSet:
         i = bisect_left(self._xs, x)
         return i == len(self._xs) or self._points[i].y < y
 
+    def dominated(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Boolean mask of the probes that are not optimal: the negation of
+        is_optimal, elementwise, in one binary search over the whole batch.
+
+        The sorted coordinate arrays it searches are rebuilt only after the
+        set changed, so repeated queries against an unchanged set are cheap.
+        """
+        if self._arrays is None:
+            # a -inf sentinel keeps sy[i] in range where no point lies right of x
+            ys_pad = [p.y for p in self._points] + [-math.inf]
+            self._arrays = np.array(self._xs, dtype=float), np.array(ys_pad)
+        sx, sy = self._arrays
+        i = np.searchsorted(sx, xs, side="left")
+        return (i < len(sx)) & (sy[i] >= ys)
+
     def add(self, p: ParetoPoint) -> bool:
         """Insert p if optimal, evicting the points it weakly dominates.
 
@@ -90,6 +107,7 @@ class ParetoSet:
             del self._points[k:end]
         self._xs.insert(k, p.x)
         self._points.insert(k, p)
+        self._arrays = None
         return True
 
     def offer(self, x: float, y: float, encoder: Optional[Encoder] = None) -> bool:

@@ -142,6 +142,8 @@ def scaling_experiment(
     """Mean and std of the Pareto-set size per cloud size, over `trials` clouds."""
     if trials < 10:
         raise ValueError("at least 10 trials are required")
+    if any(n < 1 for n in n_values):
+        raise ValueError("cloud size must be at least 1")
     rows = []
     for n in n_values:
         sizes = _batch_sizes(kind, n, trials, derive_seed(seed, n))

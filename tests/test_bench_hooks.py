@@ -10,6 +10,7 @@ import pathlib
 
 import pytest
 
+import dibmap
 import dibmap.mapper
 import dibmap.oracle
 import dibmap.robust
@@ -39,3 +40,15 @@ def test_install_traces_and_restores(spans):
     assert tracer.leaf_total("pareto.is_optimal")[0] > 0
     for m, old in zip(modules, before):
         assert all(getattr(m, name) is value for name, value in old.items())
+
+
+def test_search_offers_go_through_the_traced_frontier(spans):
+    # the search builds its frontier from the module-level name, so the
+    # children that pass the snapshot test reach the timed distance()
+    tracer = spans.Tracer()
+    joint = dibmap.sample_simplex(7, 4, 5)
+    with spans.install(tracer):
+        frontier, stats = dibmap.pareto_mapper(joint, dibmap.SearchConfig(0.0, 1))
+    calls = tracer.leaf_total("pareto.distance")[0]
+    assert 0 < calls <= stats.points_searched
+    assert tracer.frontiers == [frontier]

@@ -378,6 +378,14 @@ class TestExitCodes:
         assert "at least 1 trial" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_zero_cloud_size_is_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "cloud.csv"
+        rc = main(["scaling", "--kind", "independent", "--n-values", "0",
+                   "--trials", "10", "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        assert "cloud size must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_flags_are_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["map", "--pmf", "x.csv", "--epsilon", "-3", "--seed", "1"])

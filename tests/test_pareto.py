@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dibmap import ParetoPoint, ParetoSet
+from dibmap.distributions import INFO_TOL
 
 
 def make_set(pairs):
@@ -157,6 +158,65 @@ class TestDistance:
                 # strictly interior dominated points have positive distance
                 if not ps.is_optimal(x + 1e-12, y + 1e-12):
                     assert d > 0.0
+
+
+class TestDominated:
+    """The batched query against the scalar is_optimal and distance."""
+
+    @staticmethod
+    def check(ps, probes, r):
+        px = np.array([x for x, _ in probes], dtype=float)
+        py = np.array([y for _, y in probes], dtype=float)
+        mask = ps.dominated(px + r, py + r)
+        assert mask.dtype == bool and mask.shape == px.shape
+        for (x, y), hit in zip(probes, mask.tolist()):
+            assert hit == (not ps.is_optimal(x + r, y + r))
+            if hit:
+                # at least r, less the rounding of the shifted coordinates
+                ulp = np.spacing(max(abs(x), abs(y)) + r)
+                assert ps.distance(x, y) >= r - 4 * ulp
+
+    @given(
+        st.lists(st.tuples(coordinate, coordinate), max_size=12),
+        st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=20),
+        st.sampled_from([0.0, 2 * INFO_TOL, 1e-3, 0.5]),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_queries(self, pairs, probes, r, on_points):
+        ps = make_set(pairs)
+        if on_points and pairs:
+            # exact duplicates of stored points, and probes on their walls
+            # and ceilings, shifted back by r so the query hits them exactly
+            pts = [(p.x, p.y) for p in ps]
+            probes = probes + pts + [(x, y - 1.0) for x, y in pts]
+            probes += [(x - 1.0, y) for x, y in pts]
+            probes = [(x - r, y - r) for x, y in probes]
+        self.check(ps, probes, r)
+
+    def test_empty_set_dominates_nothing(self):
+        mask = ParetoSet().dominated(np.array([-5.0, 0.0]), np.array([-5.0, 0.0]))
+        assert not mask.any()
+
+    def test_duplicates_and_wall_ties(self):
+        ps = make_set([(0, 1), (1, 0)])
+        mask = ps.dominated(np.array([0.0, 1.0, 0.0, 0.5, 1.5]),
+                            np.array([1.0, 0.0, 0.5, 0.5, -1.0]))
+        assert mask.tolist() == [True, True, True, False, False]
+
+    def test_tracks_insertions(self):
+        ps = make_set([(0, 0)])
+        probe = (np.array([0.5]), np.array([0.5]))
+        assert not ps.dominated(*probe).any()
+        ps.add(ParetoPoint(1.0, 1.0))
+        assert ps.dominated(*probe).all()
+
+    def test_reach_bounds_distance(self):
+        ps = make_set([(0, 1), (0.5, 0.5), (1, 0)])
+        r = 2 * INFO_TOL
+        rng = np.random.default_rng(7)
+        probes = [tuple(v) for v in rng.uniform(-1.5, 1.5, size=(400, 2))]
+        self.check(ps, probes, r)
 
 
 class TestMonotoneInvariance:

@@ -108,6 +108,11 @@ class TestScalingExperiment:
         with pytest.raises(ValueError):
             scaling_experiment(INDEP, [16], 9, seed=0)
 
+    @pytest.mark.parametrize("n_values", [[0], [16, -1]])
+    def test_rejects_empty_clouds(self, n_values):
+        with pytest.raises(ValueError, match="at least 1"):
+            scaling_experiment(INDEP, n_values, 10, seed=0)
+
     def test_independent_mean_tracks_harmonic_number(self):
         rows = scaling_experiment(INDEP, [256], 800, seed=11)
         assert rows[0].mean == pytest.approx(harmonic_number(256), rel=0.05)
