@@ -186,8 +186,8 @@ class TestDominated:
     def test_matches_scalar_queries(self, pairs, probes, r, on_points):
         ps = make_set(pairs)
         if on_points and pairs:
-            # exact duplicates of stored points, and probes on their walls
-            # and ceilings, shifted back by r so the query hits them exactly
+            # stored points and probes on their walls and ceilings, shifted
+            # back by r so the query lands on them (exactly when r = 0)
             pts = [(p.x, p.y) for p in ps]
             probes = probes + pts + [(x, y - 1.0) for x, y in pts]
             probes += [(x - 1.0, y) for x, y in pts]
