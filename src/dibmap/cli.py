@@ -153,9 +153,16 @@ def _cmd_symmetric_map(args) -> int:
 
 def _load_candidate(path) -> ParetoSet:
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
+        raise ValueError("candidate file must be a JSON object with a points list")
     candidate = ParetoSet()
     for e in doc["points"]:
-        candidate.add(ParetoPoint(0.0 - float(e["H"]), float(e["I"])))
+        if not isinstance(e, dict):
+            raise ValueError("candidate points must be JSON objects")
+        h, i = e.get("H"), e.get("I")
+        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in (h, i)):
+            raise ValueError("candidate H and I must be finite numbers")
+        candidate.add(ParetoPoint(0.0 - h, float(i)))
     return candidate
 
 

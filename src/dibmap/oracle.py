@@ -6,8 +6,8 @@ count is the Bell number B(n). A hard cap of n = 13 (B(13) ~ 2.7e7) keeps
 exhaustive runs desk-scale. The strings are streamed in uint8 blocks of at
 most BLOCK_ROWS rows, for every n: all positions but the last two are
 expanded at once, the last two per group of prefixes (Knuth, TAOCP 4A,
-7.2.1.5). Each block is evaluated with the search's batched plain kernel,
-and only the block's own maxima are offered to the frontier.
+7.2.1.5). Each block is evaluated with the search's batched plain kernel
+and merged with the frontier so far, held as arrays, by one pareto_mask.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .distributions import JointPMF, xlog2x
 from .encoders import Encoder
 from .errors import CapacityError
 from .mapper import _objectives, _push
-from .pareto import ParetoSet, pareto_mask
+from .pareto import ParetoPoint, ParetoSet, pareto_mask
 
 MAX_EXHAUSTIVE_N = 13
 BLOCK_ROWS = 8192
@@ -83,22 +83,28 @@ def enumerate_partitions(n: int) -> Iterator[Encoder]:
 
 
 def brute_force_frontier(joint: JointPMF) -> ParetoSet:
-    """The exact frontier: every partition evaluated and offered in lex order.
+    """The exact frontier: every partition evaluated, merged in lex order.
 
-    A point dominated within its block cannot be on the final frontier, and
-    pareto_mask keeps the first of exact duplicates, so offering only each
-    block's maxima gives the same points and the same representatives.
+    Each block's rows follow the frontier's, which come earlier in lex
+    order, and pareto_mask keeps the first of exact duplicates, so the
+    points and their representatives are those of offering every
+    partition to a ParetoSet in lex order.
     """
     n = joint.nx
     if n > MAX_EXHAUSTIVE_N:
         raise CapacityError(f"nx = {n} exceeds the exhaustive cap {MAX_EXHAUSTIVE_N}")
     hy = float(-xlog2x(joint.marginal_y()).sum())
-    frontier = ParetoSet()
+    xs = ys = np.empty(0)
+    labels = np.empty((0, n), dtype=np.uint8)
     for block in _rgs_blocks(n):
-        xs, ys = _objectives(_push(block, joint.p, n), hy)
-        for i in np.flatnonzero(pareto_mask(np.column_stack((xs, ys)))):
-            frontier.offer(float(xs[i]), float(ys[i]), Encoder(tuple(block[i].tolist())))
-    return frontier
+        bx, by = _objectives(_push(block, joint.p, n), hy)
+        xs, ys = np.concatenate((xs, bx)), np.concatenate((ys, by))
+        labels = np.concatenate((labels, block))
+        keep = pareto_mask(np.column_stack((xs, ys)))
+        xs, ys, labels = xs[keep], ys[keep], labels[keep]
+    order = np.argsort(xs)
+    points = zip(xs[order].tolist(), ys[order].tolist(), labels[order].tolist())
+    return ParetoSet(ParetoPoint(x, y, encoder=Encoder(tuple(r))) for x, y, r in points)
 
 
 @dataclass(frozen=True)

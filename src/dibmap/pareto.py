@@ -2,9 +2,9 @@
 
 Points live in the (x, y) plane with both objectives maximized; the search
 stores x = -H(Z) and y = I(Z; Y), both in bits. The container keeps points
-sorted strictly ascending in x with strictly descending y, so an optimality
-query is a single binary search and an insertion evicts a contiguous run of
-newly dominated points.
+sorted strictly ascending in x with strictly descending y, and x and y in
+two float lists, so an optimality query is a single binary search and an
+insertion evicts a contiguous run of newly dominated points.
 
 Dominance is weak with strict rejection of exact duplicates: a point equal
 to a stored point in both coordinates is not optimal, so one representative
@@ -18,11 +18,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
-from .encoders import Encoder
+if TYPE_CHECKING:
+    from .encoders import Encoder
 
 
 @dataclass
@@ -41,8 +42,8 @@ class ParetoSet:
 
     def __init__(self, points: Optional[Iterator[ParetoPoint]] = None):
         self._xs: list[float] = []
+        self._ys: list[float] = []
         self._points: list[ParetoPoint] = []
-        self._arrays: Optional[tuple[np.ndarray, np.ndarray]] = None
         if points is not None:
             for p in points:
                 self.add(p)
@@ -62,7 +63,7 @@ class ParetoSet:
 
     def objectives(self) -> np.ndarray:
         """The frontier as an (m, 2) array of (x, y) rows, ascending in x."""
-        return np.array([(p.x, p.y) for p in self._points]).reshape(-1, 2)
+        return np.column_stack((self._xs, self._ys))
 
     def is_optimal(self, x: float, y: float) -> bool:
         """True iff no stored point has both coordinates >= (x, y).
@@ -71,22 +72,18 @@ class ParetoSet:
         first, so only one comparison is needed.
         """
         i = bisect_left(self._xs, x)
-        return i == len(self._xs) or self._points[i].y < y
+        return i == len(self._xs) or self._ys[i] < y
 
     def dominated(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Boolean mask of the probes that are not optimal: the negation of
         is_optimal, elementwise, in one binary search over the whole batch.
 
-        The sorted coordinate arrays it searches are rebuilt only after the
-        set changed, so repeated queries against an unchanged set are cheap.
+        It searches the stored coordinate lists, which numpy copies once per
+        call, so every answer reflects the set as it is at that call.
         """
-        if self._arrays is None:
-            # a -inf sentinel keeps sy[i] in range where no point lies right of x
-            ys_pad = [p.y for p in self._points] + [-math.inf]
-            self._arrays = np.array(self._xs, dtype=float), np.array(ys_pad)
-        sx, sy = self._arrays
-        i = np.searchsorted(sx, xs, side="left")
-        return (i < len(sx)) & (sy[i] >= ys)
+        i = np.searchsorted(self._xs, xs, side="left")
+        # a -inf sentinel keeps i in range where no point lies right of x
+        return (i < len(self._xs)) & (np.append(self._ys, -math.inf)[i] >= ys)
 
     def add(self, p: ParetoPoint) -> bool:
         """Insert p if optimal, evicting the points it weakly dominates.
@@ -94,27 +91,22 @@ class ParetoSet:
         Returns True iff p was inserted; the set is unchanged otherwise.
         """
         i = bisect_left(self._xs, p.x)
-        if i < len(self._xs) and self._points[i].y >= p.y:
+        if i < len(self._xs) and self._ys[i] >= p.y:
             return False
         # Newly dominated points sit contiguously left of the insertion slot
         # (x' < x and y' <= y), plus an equal-x point which must have smaller y.
         k = i
-        while k > 0 and self._points[k - 1].y <= p.y:
+        while k > 0 and self._ys[k - 1] <= p.y:
             k -= 1
         end = i + 1 if i < len(self._xs) and self._xs[i] == p.x else i
         if k < end:
             del self._xs[k:end]
+            del self._ys[k:end]
             del self._points[k:end]
         self._xs.insert(k, p.x)
+        self._ys.insert(k, p.y)
         self._points.insert(k, p)
-        self._arrays = None
         return True
-
-    def offer(self, x: float, y: float, encoder: Optional[Encoder] = None) -> bool:
-        """add() without constructing a point object unless it is accepted."""
-        if not self.is_optimal(x, y):
-            return False
-        return self.add(ParetoPoint(x, y, encoder=encoder))
 
     def distance(self, x: float, y: float) -> float:
         """Minimum Euclidean displacement of (x, y) before it would be optimal.
@@ -128,13 +120,13 @@ class ParetoSet:
         """
         i = bisect_left(self._xs, x)
         m = len(self._xs)
-        if i == m or self._points[i].y < y:
+        if i == m or self._ys[i] < y:
             return 0.0
-        d = self._points[i].y - y
+        d = self._ys[i] - y
         k = i
         while k < m and self._xs[k] - x < d:
-            if k + 1 < m and self._points[k + 1].y >= y:
-                d = min(d, math.hypot(self._xs[k] - x, self._points[k + 1].y - y))
+            if k + 1 < m and self._ys[k + 1] >= y:
+                d = min(d, math.hypot(self._xs[k] - x, self._ys[k + 1] - y))
                 k += 1
             else:
                 d = min(d, self._xs[k] - x)

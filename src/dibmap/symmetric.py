@@ -84,9 +84,7 @@ class _TripleEvaluator:
     def prepare(self, labels) -> np.ndarray:
         """Aggregate both input axes by the encoder: q[z1, z2, y]."""
         idx = np.frombuffer(bytes(labels), dtype=np.uint8)
-        g = idx.shape[0]
-        onehot = np.zeros((int(idx.max()) + 1, g))
-        onehot[idx, np.arange(g)] = 1.0
+        onehot = _onehot(idx[None])[0]
         t = np.tensordot(onehot, self.p, axes=(1, 0))  # (z1, x2, y)
         q = np.tensordot(onehot, t, axes=(1, 1))  # (z2, z1, y)
         return np.ascontiguousarray(q.transpose(1, 0, 2))

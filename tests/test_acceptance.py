@@ -425,7 +425,7 @@ def test_criterion_09_pareto_structure_properties():
 
     ps = dm.ParetoSet()
     for x, y in pts:
-        ps.offer(float(x), float(y))
+        ps.add(dm.ParetoPoint(float(x), float(y)))
     stream_kept = {(p.x, p.y) for p in ps}
 
     # brute-force filter, vectorized in row chunks

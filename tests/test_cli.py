@@ -370,6 +370,26 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        [*(f'{{"points": [{{"H": {v}, "I": 0.5}}]}}' for v in ("NaN", "Infinity", "-Infinity")),
+         *(f'{{"points": [{{"H": 0.5, "I": {v}}}]}}' for v in ("NaN", "Infinity", "-Infinity")),
+         '{"points": [{"H": null, "I": 0.5}]}',
+         '{"points": [[0.5, 0.5]]}',
+         '[{"H": 0.5, "I": 0.5}]'],
+        ids=["H-nan", "H-inf", "H-neg-inf", "I-nan", "I-inf", "I-neg-inf", "H-null",
+             "list-entry", "top-level-list"],
+    )
+    def test_bad_candidate_is_exit_one(self, tmp_path, capsys, diag2, text):
+        candidate = tmp_path / "candidate.json"
+        candidate.write_text(text)
+        out = tmp_path / "out.json"
+        rc = main(["oracle", "--pmf", str(diag2), "--candidate", str(candidate),
+                   "--out", str(out)])
+        assert rc == 1
+        assert "error: candidate" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_dib_trials_is_exit_one(self, tmp_path, capsys):
         out = tmp_path / "dib.csv"
         rc = main(["scaling", "--kind", "dib", "--n-values", "3", "--trials", "0",

@@ -75,6 +75,19 @@ class TestEnumeration:
             assert bell_number(n + 1) == rhs
 
 
+def diagonal_joint():
+    """Nine symbols with Y = X: every partition is on the frontier."""
+    w = np.random.default_rng(9).random(9)
+    return JointPMF(np.diag(w / w.sum()))
+
+
+def repeated_row_joint():
+    """Ten rows drawn from four: many partitions tie exactly."""
+    base = sample_simplex(4, 3, 7).p
+    p = base[[0, 1, 2, 3, 0, 1, 2, 0, 1, 0]]
+    return JointPMF(p / p.sum())
+
+
 class TestBruteForceFrontier:
     def test_two_by_two_diag(self):
         frontier = brute_force_frontier(JointPMF(np.diag([0.5, 0.5])))
@@ -121,24 +134,21 @@ class TestBruteForceFrontier:
         with pytest.raises(CapacityError):
             brute_force_frontier(sample_simplex(14, 2, seed=0))
 
-    def test_block_maxima_prefilter_changes_nothing(self):
-        # every partition offered, unfiltered, in lex order
-        joint = repeated_row_joint()
+    @pytest.mark.parametrize(
+        "make_joint", [repeated_row_joint, diagonal_joint], ids=["repeated-rows", "diag9"]
+    )
+    def test_block_maxima_prefilter_changes_nothing(self, make_joint):
+        # every partition offered, unfiltered, in lex order; diag9 keeps all
+        # B(9) = 21,147, so later blocks merge into a frontier larger than them
+        joint = make_joint()
         hy = float(-xlog2x(joint.marginal_y()).sum())
         full = ParetoSet()
         for block in _rgs_blocks(joint.nx):
             xs, ys = _objectives(_push(block, joint.p, joint.nx), hy)
             for labels, x, y in zip(block.tolist(), xs.tolist(), ys.tolist()):
-                full.offer(x, y, dm.Encoder(tuple(labels)))
+                full.add(ParetoPoint(x, y, encoder=dm.Encoder(tuple(labels))))
         got = [(p.x, p.y, p.encoder) for p in brute_force_frontier(joint)]
         assert got == [(p.x, p.y, p.encoder) for p in full]
-
-
-def repeated_row_joint():
-    """Ten rows drawn from four: many partitions tie exactly."""
-    base = sample_simplex(4, 3, 7).p
-    p = base[[0, 1, 2, 3, 0, 1, 2, 0, 1, 0]]
-    return JointPMF(p / p.sum())
 
 
 class TestGoldenFrontier:

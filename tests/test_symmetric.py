@@ -174,7 +174,7 @@ class TestSymmetricMapper:
         exact = dm.ParetoSet()
         for f in enumerate_partitions(5):
             x, y = symmetric_objectives(t, f)
-            exact.offer(x, y, encoder=f)
+            exact.add(dm.ParetoPoint(x, y, encoder=f))
         got = sorted((p.x, p.y) for p in frontier)
         want = sorted((p.x, p.y) for p in exact)
         assert len(got) == len(want)
@@ -310,7 +310,7 @@ class TestGroupTies:
         )
         exact = dm.ParetoSet()
         for f in enumerate_partitions(8):
-            exact.offer(*symmetric_objectives(triple, f), encoder=f)
+            exact.add(dm.ParetoPoint(*symmetric_objectives(triple, f), encoder=f))
         want = [(p.x, p.y) for p in exact]
         assert len(got) == len(want)
         assert all(
