@@ -182,9 +182,13 @@ class TestGoldenCounts:
              FRONTIER_9X5),
             (lambda: count_joint(20, 8), SearchConfig(0.0, 2), (213571, 3024, 216),
              "bb56b2c76f2a4786f065012b69cc41036113d542f1c8f6a441c17473ce5aff2a"),
+            # levels 7..4 hold more than 2^16 children: pins dedup and draw
+            # order on levels wider than one kernel slice
+            (lambda: sample_simplex(10, 5, 1), SearchConfig(0.3, 3), (115763, 69583, 50),
+             "33be811415a84eed2aa10805666fcef23d3f3d986099cf149f199cc91843fb92"),
         ],
         ids=["9x5-eps0", "9x5-eps0.02", "9x5-eps0.05", "9x5-eps0.3", "9x5-inf",
-             "20x20-counts-eps0"],
+             "20x20-counts-eps0", "10x5-eps0.3"],
     )
     def test_counts(self, make_joint, cfg, want, digest):
         frontier, stats = pareto_mapper(make_joint(), cfg)
