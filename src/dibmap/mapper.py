@@ -12,19 +12,20 @@ search that keeps only the children that enter the frontier (not those
 tying it on a wall of its staircase, where d is also 0); an infinite
 epsilon keeps everything (brute force).
 
-A level is processed in parent-aligned chunks of about CHUNK_CHILDREN
-children, each with a few numpy passes: one builds every child's canonical
-labels, one np.unique drops later occurrences of a partition, and one call
-of the evaluator's merge_objectives computes the survivors' objectives from
-their parents' pushed-forward arrays, updating only the cells each merge
-touches. Frontier offers stay strictly sequential in (parent, merge pair)
-order, the order of a breadth-first queue, and so do the random draws.
+A level's children are held as one uint8 array of canonical labels, built
+in one pass. One np.unique drops later occurrences of a partition, and the
+evaluator's merge_objectives computes the survivors' objectives from their
+parents' pushed-forward arrays, updating only the cells each merge touches,
+in parent-aligned slices of about CHUNK_CHILDREN children. Frontier offers
+stay strictly sequential in (parent, merge pair) order, the order of a
+breadth-first queue, and so do the random draws.
 The batched values depend on the merge path in their last bits, so a
 child within INFO_TOL of the frontier is evaluated again from scratch, and
 the offer is decided on that path-independent value: one partition, or
 two with equal objectives, never becomes several frontier points.
-Clusterings travel as canonical label byte strings; Encoder objects are
-materialized only for points that enter the frontier.
+Clusterings travel as rows of that array; a child's labels become a byte
+string only when it is evaluated again, and an Encoder only when it enters
+the frontier.
 
 Most children are far inside the dominated region, so each block of
 OFFER_BLOCK children is first tested against a snapshot of the frontier in
@@ -50,7 +51,7 @@ from .encoders import Encoder
 from .pareto import ParetoPoint, ParetoSet
 
 CHUNK_CHILDREN = 1 << 16
-"""Merge children built and evaluated per batch; bounds a level's memory."""
+"""Merge children per merge_objectives call; bounds the kernel's working arrays."""
 
 OFFER_BLOCK = 256
 """Children tested against one frontier snapshot before they are offered."""
@@ -133,7 +134,7 @@ def _merge_children(parents: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray) -
 
     Because a parent is canonical, uniting clusters i < j relabels as:
     j -> i, labels above j shift down by one, everything else unchanged.
-    The arithmetic stays in uint8, so a chunk costs one byte per label.
+    The arithmetic stays in uint8, so a level costs one byte per label.
     """
     a = parents[:, None, :]
     i = i_idx.astype(np.uint8)[:, None]
@@ -172,6 +173,18 @@ def _objectives(pushed: np.ndarray, hy):
     return -hz, np.maximum(hz + hy - hzy, 0.0)
 
 
+def _merged_row_sums(q: np.ndarray, parent, i_idx, j_idx) -> np.ndarray:
+    """Sum of xlog2x over the cells of each merge child of a batch of parents.
+
+    q holds the parents' (P, m, k) rows. Merging clusters i and j of
+    q[parent] folds row j into row i, so each child's sum is its parent's
+    with those two rows' contributions swapped for the fold's.
+    """
+    row = xlog2x(q).sum(axis=2)
+    fold = xlog2x(q[parent, i_idx] + q[parent, j_idx]).sum(axis=1)
+    return row.sum(axis=1)[parent] - row[parent, i_idx] - row[parent, j_idx] + fold
+
+
 def _sorted_sum(terms: np.ndarray) -> float:
     """Sum in ascending order, so equal multisets of terms give equal floats."""
     return float(np.sort(terms, axis=None).sum())
@@ -201,20 +214,13 @@ class _JointEvaluator:
         """Objectives of the children merging clusters i < j of parents[parent].
 
         The parents' pushed-forward matrices are built as one (P, m, ny)
-        array. Only the two folded rows change, so each child's cell sums
-        are its parent's with those rows' contributions swapped for the
-        fold's.
+        array; H(Z, Y) folds its rows and H(Z) the rows of its (P, m, 1)
+        cluster masses.
         """
         pushed = _onehot(parents) @ self.rows
-        row = xlog2x(pushed).sum(axis=2)
-        fold = xlog2x(pushed[parent, i_idx] + pushed[parent, j_idx]).sum(axis=1)
-        hzy = -(row.sum(axis=1)[parent] - row[parent, i_idx] - row[parent, j_idx] + fold)
-
-        pz = pushed.sum(axis=2)
-        pzx = xlog2x(pz)
-        fold_pz = xlog2x(pz[parent, i_idx] + pz[parent, j_idx])
-        hz = -(pzx.sum(axis=1)[parent] - pzx[parent, i_idx] - pzx[parent, j_idx] + fold_pz)
-        hz = np.maximum(hz, 0.0)
+        hzy = -_merged_row_sums(pushed, parent, i_idx, j_idx)
+        pz = pushed.sum(axis=2)[..., None]
+        hz = np.maximum(-_merged_row_sums(pz, parent, i_idx, j_idx), 0.0)
         return -hz, np.maximum(hz + self.hy - hzy, 0.0)
 
 
@@ -246,53 +252,47 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
     m = n  # cluster count of every parent in the level
     while len(level) and m > 1:
         i_idx, j_idx = np.triu_indices(m, k=1)
-        per_chunk = max(1, CHUNK_CHILDREN // len(i_idx))
-        # np.unique dedups within a chunk; a set catches repeats across chunks
-        seen = set() if len(level) > per_chunk else None
-        kept: list[bytes] = []
-        for start in range(0, len(level), per_chunk):
-            parents = level[start : start + per_chunk]
-            children = _merge_children(parents, i_idx, j_idx)
-            u = rng.random(len(children))  # one draw per child, in pair order
-            # first occurrence of each partition
-            _, new = np.unique(children.view(f"V{n}").ravel(), return_index=True)
-            new.sort()
-            flat = children[new].tobytes()
-            keys = [flat[k : k + n] for k in range(0, len(flat), n)]
-            if seen is not None:
-                fresh = [k for k, key in enumerate(keys) if key not in seen]
-                seen.update(keys)
-                new = new[fresh]
-                keys = [keys[k] for k in fresh]
-            parent, pair = np.divmod(new, len(i_idx))
-            xs, ys = evaluator.merge_objectives(parents, parent, i_idx[pair], j_idx[pair])
-            draws = u[new]
-            reach = _reach(draws, epsilon)
-            searched += len(keys)
-            # a child the snapshot test drops keeps this verdict (see _reach)
-            keep = np.full(len(keys), brute)
-            for lo in range(0, len(keys), OFFER_BLOCK):
-                hi = lo + OFFER_BLOCK
-                r = reach[lo:hi]
-                # the frontier only grows, so this snapshot's verdicts hold
-                # for the whole block
-                live = lo + np.flatnonzero(~dominated(xs[lo:hi] + r, ys[lo:hi] + r))
-                for k, x, y, draw in zip(
-                    live.tolist(), xs[live].tolist(), ys[live].tolist(), draws[live].tolist()
-                ):
-                    key = keys[k]
+        children = _merge_children(level, i_idx, j_idx)
+        # first occurrence of each partition
+        _, new = np.unique(children.view(f"V{n}").ravel(), return_index=True)
+        new.sort()
+        draws = rng.random(len(children))[new]  # one draw per child, in pair order
+        parent, pair = np.divmod(new, len(i_idx))
+        # the kernel sees parent-aligned slices of about CHUNK_CHILDREN children
+        step = max(1, CHUNK_CHILDREN // len(i_idx))
+        starts = range(0, len(level), step)
+        cuts = np.searchsorted(parent, [*starts, len(level)])
+        xs, ys = map(np.concatenate, zip(*(
+            evaluator.merge_objectives(
+                level[s : s + step], parent[a:b] - s, i_idx[pair[a:b]], j_idx[pair[a:b]]
+            )
+            for s, a, b in zip(starts, cuts[:-1], cuts[1:])
+        )))
+        reach = _reach(draws, epsilon)
+        searched += len(new)
+        # a child the snapshot test drops keeps this verdict (see _reach)
+        keep = np.full(len(new), brute)
+        for lo in range(0, len(new), OFFER_BLOCK):
+            hi = lo + OFFER_BLOCK
+            r = reach[lo:hi]
+            # the frontier only grows, so this snapshot's verdicts hold for
+            # the whole block
+            live = lo + np.flatnonzero(~dominated(xs[lo:hi] + r, ys[lo:hi] + r))
+            for k, c, x, y, draw in zip(
+                live.tolist(), new[live].tolist(), xs[live].tolist(), ys[live].tolist(),
+                draws[live].tolist(),
+            ):
+                d = distance(x, y)
+                if d <= INFO_TOL:  # a tie may hinge on the path-dependent last bits
+                    x, y = evaluate(children[c].tobytes())
                     d = distance(x, y)
-                    if d <= INFO_TOL:  # a tie may hinge on the path-dependent last bits
-                        x, y = evaluate(key)
-                        d = distance(x, y)
-                    entered = d == 0.0 and is_optimal(x, y)
-                    if entered:
-                        add(ParetoPoint(x, y, encoder=Encoder(tuple(key))))
-                    # at epsilon = 0, d is also 0 on the walls: keep entries only
-                    keep[k] = entered if greedy else draw < enqueue_probability(d, epsilon)
-            kept.extend(keys[k] for k in np.flatnonzero(keep).tolist())
-        enqueued += len(kept)
-        level = np.frombuffer(b"".join(kept), dtype=np.uint8).reshape(-1, n)
+                entered = d == 0.0 and is_optimal(x, y)
+                if entered:
+                    add(ParetoPoint(x, y, encoder=Encoder(tuple(children[c].tolist()))))
+                # at epsilon = 0, d is also 0 on the walls: keep entries only
+                keep[k] = entered if greedy else draw < enqueue_probability(d, epsilon)
+        level = children[new[keep]]
+        enqueued += len(level)
         m -= 1
 
     stats = SearchStats(searched, enqueued, time.perf_counter() - t0)

@@ -81,30 +81,23 @@ class _TripleEvaluator:
     def domain_size(self) -> int:
         return self.p.shape[0]
 
-    def prepare(self, labels) -> np.ndarray:
-        """Aggregate both input axes by the encoder: q[z1, z2, y]."""
-        idx = np.frombuffer(bytes(labels), dtype=np.uint8)
-        onehot = _onehot(idx[None])[0]
-        t = np.tensordot(onehot, self.p, axes=(1, 0))  # (z1, x2, y)
-        q = np.tensordot(onehot, t, axes=(1, 1))  # (z2, z1, y)
-        return np.ascontiguousarray(q.transpose(1, 0, 2))
+    def _cells(self, labels: np.ndarray) -> np.ndarray:
+        """(P, m, m, ny) triples q[z1, z2, y] of P encoders' label strings."""
+        onehot = _onehot(labels)  # (P, z, x)
+        count, m, g = onehot.shape
+        t = (onehot @ self.p.reshape(g, -1)).reshape(count, m, g, -1)  # (P, z1, x2, y)
+        return onehot[:, None] @ t
 
     def evaluate(self, labels) -> tuple[float, float]:
         """Objectives of one encoder, from scratch and path-independent."""
-        q = self.prepare(labels)
+        q = self._cells(np.frombuffer(bytes(labels), dtype=np.uint8)[None])[0]
         hz = max(0.0, -_sorted_sum(xlog2x(q.sum(axis=2))))
         hzy = -_sorted_sum(xlog2x(q))
         return -hz / 2.0, max(0.0, hz + self.hy - hzy)
 
     def merge_objectives(self, parents: np.ndarray, parent, i_idx, j_idx):
-        """Objectives of the children merging clusters i < j of parents[parent].
-
-        The parents' aggregated triples are built as one (P, m, m, k) array.
-        """
-        onehot = _onehot(parents)  # (P, z, x)
-        count, m, g = onehot.shape
-        t = (onehot @ self.p.reshape(g, -1)).reshape(count, m, g, -1)  # (P, z1, x2, y)
-        q = onehot[:, None] @ t  # (P, z1, z2, y)
+        """Objectives of the children merging clusters i < j of parents[parent]."""
+        q = self._cells(parents)
         hzy = -_merged_cell_sums(q, parent, i_idx, j_idx)
         pz = q.sum(axis=3)[..., None]
         hz = np.maximum(-_merged_cell_sums(pz, parent, i_idx, j_idx), 0.0)
