@@ -160,7 +160,8 @@ def _load_candidate(path) -> ParetoSet:
         if not isinstance(e, dict):
             raise ValueError("candidate points must be JSON objects")
         h, i = e.get("H"), e.get("I")
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in (h, i)):
+        # type() excludes bool; the bound rejects NaN, inf and ints beyond float
+        if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in (h, i)):
             raise ValueError("candidate H and I must be finite numbers")
         candidate.add(ParetoPoint(0.0 - h, float(i)))
     return candidate

@@ -83,13 +83,17 @@ class EmpiricalCounts:
                 raise ValueError("counts must be finite (no NaN or inf)")
             if not np.all(n == np.floor(n)):
                 raise ValueError("counts must be integers")
-            n = n.astype(np.int64)
         if np.any(n < 0):
             raise ValueError("counts must be non-negative")
-        total = int(n.sum())
+        if np.any(n >= 2**63):
+            raise ValueError("counts must be below 2^63 (int64)")
+        n = n.astype(np.int64)
+        total = int(n.sum(dtype=object))  # exact, where an int64 sum could wrap
+        if total >= 2**63:
+            raise ValueError("counts must total below 2^63 (int64)")
         if total < 1:
             raise ValueError("counts must contain at least one sample")
-        object.__setattr__(self, "n", n.astype(np.int64))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "total", total)
 
     @property

@@ -320,6 +320,22 @@ class TestExitCodes:
         assert "counts must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1e19,3\n2,5\n", "counts must be below 2^63"),
+         (f"{2**62},{2**62}\n{2**62},1\n", "counts must total below 2^63")],
+        ids=["count", "total"],
+    )
+    def test_counts_beyond_int64_are_exit_one(self, tmp_path, capsys, text, message):
+        path = tmp_path / "counts.csv"
+        path.write_text(text)
+        out = tmp_path / "out.json"
+        rc = main(["robust-map", "--counts", str(path), "--epsilon", "0",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_too_many_symbols_is_exit_one(self, tmp_path, capsys):
         path = tmp_path / "wide.csv"
         dm.save_matrix_csv(path, np.full((256, 1), 1 / 256))
@@ -375,10 +391,15 @@ class TestExitCodes:
         [*(f'{{"points": [{{"H": {v}, "I": 0.5}}]}}' for v in ("NaN", "Infinity", "-Infinity")),
          *(f'{{"points": [{{"H": 0.5, "I": {v}}}]}}' for v in ("NaN", "Infinity", "-Infinity")),
          '{"points": [{"H": null, "I": 0.5}]}',
+         '{"points": [{"H": true, "I": 0.5}]}',
+         '{"points": [{"H": 0.5, "I": false}]}',
+         '{"points": [{"H": 1' + "0" * 400 + ', "I": 0.5}]}',
+         '{"points": [{"H": 0.5, "I": -1' + "0" * 400 + '}]}',
          '{"points": [[0.5, 0.5]]}',
          '[{"H": 0.5, "I": 0.5}]'],
         ids=["H-nan", "H-inf", "H-neg-inf", "I-nan", "I-inf", "I-neg-inf", "H-null",
-             "list-entry", "top-level-list"],
+             "H-true", "I-false", "H-huge-int", "I-huge-negative-int", "list-entry",
+             "top-level-list"],
     )
     def test_bad_candidate_is_exit_one(self, tmp_path, capsys, diag2, text):
         candidate = tmp_path / "candidate.json"

@@ -234,6 +234,21 @@ class TestCounts:
             with pytest.raises(ValueError, match="finite"):
                 EmpiricalCounts(np.array([[bad, 1.0], [2.0, 3.0]]))
 
+    def test_count_beyond_int64_rejected_by_name(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast warning before the check
+            with pytest.raises(ValueError, match="below 2\\^63"):
+                EmpiricalCounts(np.array([[1e19, 1.0]]))
+            with pytest.raises(ValueError, match="non-negative"):
+                EmpiricalCounts(np.array([[-1e19, 1.0]]))
+
+    def test_total_beyond_int64_rejected_by_name(self):
+        with pytest.raises(ValueError, match="total below 2\\^63"):
+            EmpiricalCounts(np.array([[2**62, 2**62], [2**62, 1]]))
+
+    def test_largest_int64_count_accepted(self):
+        assert EmpiricalCounts(np.array([[2**63 - 1, 0]])).total == 2**63 - 1
+
 
 class TestCsv:
     def test_joint_round_trip(self, tmp_path):

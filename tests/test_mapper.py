@@ -24,6 +24,7 @@ from dibmap import (
 )
 from dibmap.encoders import canonicalize
 from dibmap.mapper import _JointEvaluator, _merge_children, _objectives, _push
+from dibmap.symmetric import _TripleEvaluator
 
 DIAG2 = JointPMF(np.diag([0.5, 0.5]))
 
@@ -295,6 +296,19 @@ class TestMergeObjectives:
                 for u, v in ((xs[k], ys[k]), (bx[k], by[k])):
                     assert u == pytest.approx(x, abs=1e-12)
                     assert v == pytest.approx(y, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "make_evaluator",
+        [lambda: _JointEvaluator(sample_simplex(4, 3, 5)),
+         lambda: _TripleEvaluator(dm.TripleJointPMF(np.full((4, 4, 3), 1 / 48)))],
+        ids=["plain", "symmetric"],
+    )
+    def test_empty_selection(self, make_evaluator):
+        # a kernel slice whose children all occurred earlier in the level
+        parents = np.array([[0, 1, 2, 3], [0, 1, 1, 2]], dtype=np.uint8)
+        empty = np.zeros(0, dtype=np.intp)
+        xs, ys = make_evaluator().merge_objectives(parents, empty, empty, empty)
+        assert xs.shape == ys.shape == (0,)
 
     def test_single_symbol_evaluates_only_the_identity(self):
         joint = JointPMF(np.array([[0.5, 0.5]]))
