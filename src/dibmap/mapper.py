@@ -284,7 +284,7 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
             ):
                 d = distance(x, y)
                 if d <= INFO_TOL:  # a tie may hinge on the path-dependent last bits
-                    x, y = evaluate(children[c].tobytes())
+                    x, y = evaluate(children[c])
                     d = distance(x, y)
                 entered = d == 0.0 and is_optimal(x, y)
                 if entered:
