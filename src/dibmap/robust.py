@@ -6,11 +6,17 @@ objectives, and a significance filter keeps only points that are
 statistically distinguishable - in at least one coordinate - from every
 point already kept, visiting points in ascending order of uncertainty so
 low-variance points win ties.
+
+The bootstrap runs one task per frontier point on a thread pool with one
+worker per CPU the process may run on; numpy releases the GIL while it
+draws and reduces. Each point seeds its own generator from its frontier
+index, so the output is the same on any host.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +24,7 @@ import numpy as np
 from ._util import derive_seed
 from .distributions import EmpiricalCounts, normalize_counts, xlog2x
 from .encoders import Encoder
+from .errors import DimensionMismatchError
 from .mapper import SearchConfig, SearchStats, _objectives, _push, pareto_mapper
 from .pareto import ParetoPoint, ParetoSet
 
@@ -36,7 +43,10 @@ class RobustConfig:
     z: float = 1.0
 
     def __post_init__(self):
-        if self.bootstrap_reps < 2:
+        reps = self.bootstrap_reps
+        if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)):
+            raise ValueError("bootstrap_reps must be an integer")
+        if reps < 2:
             raise ValueError("bootstrap_reps must be at least 2")
         if not 0 < self.z < math.inf:  # also rejects NaN
             raise ValueError("z must be positive and finite")
@@ -53,6 +63,10 @@ def bootstrap_uncertainty(
     """
     if reps < 2:
         raise ValueError("reps must be at least 2")
+    if f.n != counts.nx:
+        raise DimensionMismatchError(
+            f"encoder domain {f.n} != count matrix row count {counts.nx}"
+        )
     rng = np.random.default_rng(seed)
     p_flat = (counts.n / counts.total).ravel()
     draws = rng.multinomial(counts.total, p_flat, size=reps)
@@ -84,6 +98,13 @@ def significance_filter(frontier: ParetoSet, z: float) -> ParetoSet:
     return kept
 
 
+def _cpus_available() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has sched_getaffinity
+        return os.cpu_count() or 1
+
+
 def robust_pareto_mapper(
     counts: EmpiricalCounts, cfg: RobustConfig
 ) -> tuple[ParetoSet, ParetoSet, SearchStats]:
@@ -92,11 +113,24 @@ def robust_pareto_mapper(
     Returns (filtered, unfiltered, stats): the significance-filtered
     frontier, the full discovered frontier with (dx, dy) attached to every
     point, and the search counters. Deterministic per config.
+
+    The bootstrap runs one task per frontier point on a thread pool with
+    one worker per CPU available; point i is seeded with
+    `derive_seed(seed, i)`, so the output is the same on any host.
     """
+    # Imported here: at module level it would add `logging` to `import dibmap`.
+    from concurrent.futures import ThreadPoolExecutor
+
     joint = normalize_counts(counts)
     frontier, stats = pareto_mapper(joint, SearchConfig(cfg.epsilon, cfg.seed))
-    for i, p in enumerate(frontier):
-        p.dx, p.dy = bootstrap_uncertainty(
-            counts, p.encoder, cfg.bootstrap_reps, derive_seed(cfg.seed, i)
+
+    def spread(i):
+        return bootstrap_uncertainty(
+            counts, frontier[i].encoder, cfg.bootstrap_reps, derive_seed(cfg.seed, i)
         )
+
+    with ThreadPoolExecutor(max_workers=_cpus_available()) as pool:
+        spreads = pool.map(spread, range(len(frontier)))
+        for p, (dx, dy) in zip(frontier, spreads):
+            p.dx, p.dy = dx, dy
     return significance_filter(frontier, cfg.z), frontier, stats

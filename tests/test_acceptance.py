@@ -16,6 +16,7 @@ import glob
 import hashlib
 import json
 import math
+import pathlib
 import subprocess
 import sys
 import time
@@ -245,7 +246,7 @@ def english_corpus() -> bytes:
     parts, seen, total = [], set(), 0
     for path in sorted(glob.glob("/usr/share/doc/*/copyright")):
         try:
-            data = open(path, "rb").read()
+            data = pathlib.Path(path).read_bytes()
         except OSError:
             continue
         digest = hashlib.sha256(data).hexdigest()

@@ -1,10 +1,15 @@
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import dibmap as dm
+import dibmap.robust
 from dibmap import (
+    DimensionMismatchError,
     EmpiricalCounts,
     Encoder,
     ParetoPoint,
@@ -18,6 +23,7 @@ from dibmap import (
     sample_simplex,
     significance_filter,
 )
+from dibmap._util import derive_seed
 
 
 def point(x, y, dx, dy):
@@ -55,6 +61,14 @@ class TestBootstrapUncertainty:
         counts = EmpiricalCounts(np.array([[3, 1]]))
         with pytest.raises(ValueError):
             bootstrap_uncertainty(counts, Encoder((0,)), 1, 0)
+
+    @pytest.mark.parametrize(
+        "assignment", [(0, 1), (0, 1, 0, 1, 2)], ids=["short", "long"]
+    )
+    def test_rejects_encoder_of_other_domain(self, assignment):
+        counts = EmpiricalCounts(np.array([[3, 1], [2, 2], [1, 4], [5, 0]]))
+        with pytest.raises(DimensionMismatchError):
+            bootstrap_uncertainty(counts, Encoder(assignment), 10, 0)
 
 
 class TestSignificanceFilter:
@@ -176,8 +190,80 @@ class TestRobustParetoMapper:
             RobustConfig(0.1, 0, bootstrap_reps=1)
         with pytest.raises(ValueError):
             RobustConfig(0.1, 0, z=0.0)
+        for reps in (2.5, 3.0, "3", True, None):
+            with pytest.raises(ValueError):
+                RobustConfig(0.0, 1, bootstrap_reps=reps)
+        assert RobustConfig(0.0, 1, bootstrap_reps=np.int64(2)).bootstrap_reps == 2
 
     @pytest.mark.parametrize("z", [math.nan, math.inf])
     def test_non_finite_z_rejected(self, z):
         with pytest.raises(ValueError):
             RobustConfig(0.1, 0, z=z)
+
+
+def within(seconds, fn):
+    """Run fn in a thread; fail if it has not finished after `seconds`."""
+    outcome = []
+
+    def body():
+        try:
+            outcome.append((True, fn()))
+        except BaseException as exc:  # handed back to the test thread below
+            outcome.append((False, exc))
+
+    t = threading.Thread(target=body, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), f"did not finish within {seconds} s"
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return value
+
+
+class TestBootstrapPool:
+    """The per-point bootstrap runs on a thread pool; its results must not
+    depend on it."""
+
+    COUNTS = multinomial_sample(sample_simplex(8, 4, 2), 400, 3)
+    CFG = RobustConfig(0.0, seed=7, bootstrap_reps=20)
+
+    def check_matches_serial_loop(self):
+        _, full, _ = within(60, lambda: robust_pareto_mapper(self.COUNTS, self.CFG))
+        assert len(full) > max(8, dibmap.robust._cpus_available())
+        serial = [
+            bootstrap_uncertainty(
+                self.COUNTS, p.encoder, self.CFG.bootstrap_reps,
+                derive_seed(self.CFG.seed, i),
+            )
+            for i, p in enumerate(full)
+        ]
+        assert [(p.dx, p.dy) for p in full] == serial
+
+    def test_matches_serial_loop_in_frontier_order(self):
+        self.check_matches_serial_loop()
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
+        )
+        assert dibmap.robust._cpus_available() == 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.check_matches_serial_loop()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_task_exception_propagates(self, monkeypatch):
+        real = dibmap.robust.bootstrap_uncertainty
+        failing_seed = derive_seed(self.CFG.seed, 3)
+
+        def failing(counts, f, reps, seed):
+            if seed == failing_seed:
+                raise RuntimeError("bootstrap failed for point 3")
+            return real(counts, f, reps, seed)
+
+        monkeypatch.setattr(dibmap.robust, "bootstrap_uncertainty", failing)
+        with pytest.raises(RuntimeError, match="point 3"):
+            within(60, lambda: robust_pareto_mapper(self.COUNTS, self.CFG))
