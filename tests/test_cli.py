@@ -274,16 +274,19 @@ class TestGoldenOutputs:
         assert hashlib.sha256(points).hexdigest() == want
 
     @pytest.mark.parametrize(
-        "argv, source",
-        [(["map", "--pmf", "joint.csv"], "pmf"),
-         (["symmetric-map", "--triple", "triple.csv"], "input")],
-        ids=["map", "symmetric-map"],
+        "argv, source, epsilon",
+        [(["map", "--pmf", "joint.csv"], "pmf", "0.05"),
+         (["symmetric-map", "--triple", "triple.csv"], "input", "0.05"),
+         (["map", "--pmf", "joint.csv"], "pmf", "inf")],
+        ids=["map", "symmetric-map", "map-inf"],
     )
-    def test_search_meta_keys(self, inputs, capsys, argv, source):
+    def test_search_meta_keys(self, inputs, capsys, argv, source, epsilon):
         doc = json.loads(
-            self.stdout_of(capsys, [*argv, "--epsilon", "0.05", "--seed", "2"])
+            self.stdout_of(capsys, [*argv, "--epsilon", epsilon, "--seed", "2"])
         )
         assert list(doc["meta"]) == ["command", source, "epsilon", "seed", "stats"]
+        # an infinite epsilon is echoed as the string "inf", keeping its place
+        assert doc["meta"]["epsilon"] == (epsilon if epsilon == "inf" else float(epsilon))
 
 
 class TestExitCodes:
