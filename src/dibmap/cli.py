@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .datasets import group_joint, ingest_bigrams, make_group
@@ -102,21 +103,15 @@ def _emit_document(args, doc: dict, entries: list[dict]) -> int:
     return 0
 
 
-def _emit_search(args, source_key, source, cfg, frontier, stats, kept=None, **extra) -> int:
-    """Write a search command's document: meta, then the frontier's points."""
+def _emit_search(args, source_key, source, cfg, frontier, stats, kept=None) -> int:
+    """Write a search command's document: meta (the config's fields, then the
+    search counters), then the frontier's points."""
+    meta = {"command": args.command, source_key: source, **asdict(cfg)}
+    if math.isinf(cfg.epsilon):
+        meta["epsilon"] = "inf"  # JSON has no infinity; the key keeps its place
+    meta["stats"] = asdict(stats)
     entries = _point_entries(frontier, kept=kept)
-    doc = {
-        "meta": {
-            "command": args.command,
-            source_key: source,
-            "epsilon": "inf" if math.isinf(cfg.epsilon) else cfg.epsilon,
-            "seed": cfg.seed,
-            **extra,
-            "stats": {"points_searched": stats.points_searched, "enqueued": stats.enqueued},
-        },
-        "points": entries,
-    }
-    return _emit_document(args, doc, entries)
+    return _emit_document(args, {"meta": meta, "points": entries}, entries)
 
 
 def _cmd_map(args) -> int:
@@ -135,8 +130,7 @@ def _cmd_robust_map(args) -> int:
         z=args.z,
     )
     kept, frontier, stats = robust_pareto_mapper(counts, cfg)
-    return _emit_search(args, "counts", str(args.counts), cfg, frontier, stats, kept=kept,
-                        bootstrap_reps=cfg.bootstrap_reps, z=cfg.z)
+    return _emit_search(args, "counts", str(args.counts), cfg, frontier, stats, kept=kept)
 
 
 def _cmd_symmetric_map(args) -> int:
@@ -155,7 +149,7 @@ def _load_candidate(path) -> ParetoSet:
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
         raise ValueError("candidate file must be a JSON object with a points list")
-    candidate = ParetoSet()
+    pairs = []
     for e in doc["points"]:
         if not isinstance(e, dict):
             raise ValueError("candidate points must be JSON objects")
@@ -163,8 +157,9 @@ def _load_candidate(path) -> ParetoSet:
         # type() excludes bool; the bound rejects NaN, inf and ints beyond float
         if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in (h, i)):
             raise ValueError("candidate H and I must be finite numbers")
-        candidate.add(ParetoPoint(0.0 - h, float(i)))
-    return candidate
+        pairs.append((0.0 - h, float(i)))
+    # offered ascending in x, each point is appended at the end of the set
+    return ParetoSet(ParetoPoint(x, y) for x, y in sorted(pairs))
 
 
 def _cmd_oracle(args) -> int:
@@ -177,14 +172,7 @@ def _cmd_oracle(args) -> int:
     }
     if args.candidate is not None:
         score = precision_recall(_load_candidate(args.candidate), frontier, args.tol)
-        doc["score"] = {
-            "points": score.points,
-            "tp": score.tp,
-            "fp": score.fp,
-            "fn": score.fn,
-            "precision": score.precision,
-            "recall": score.recall,
-        }
+        doc["score"] = asdict(score)
     return _emit_document(args, doc, entries)
 
 

@@ -41,7 +41,6 @@ counters and the random draws exactly as offering them would.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +73,7 @@ class SearchConfig:
 
 @dataclass
 class SearchStats:
-    """Work counters for one run.
+    """Work counters for one run, deterministic for a fixed config.
 
     points_searched counts objective evaluations actually consumed (one per
     offered child plus the identity); every canonical partition is counted
@@ -84,7 +83,6 @@ class SearchStats:
 
     points_searched: int
     enqueued: int
-    elapsed: float
 
 
 def enqueue_probability(d: float, epsilon: float) -> float:
@@ -195,11 +193,8 @@ class _JointEvaluator:
 
     def __init__(self, joint: JointPMF):
         self.rows = joint.p
+        self.n = joint.nx
         self.hy = float(-xlog2x(joint.marginal_y()).sum())
-
-    @property
-    def domain_size(self) -> int:
-        return self.rows.shape[0]
 
     def evaluate(self, labels) -> tuple[float, float]:
         """Objectives of one clustering, from scratch and path-independent."""
@@ -226,19 +221,18 @@ class _JointEvaluator:
 
 def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
     """The level-synchronous search loop shared by the plain and symmetric mappers."""
-    n = evaluator.domain_size
+    n = evaluator.n
     if n > 255:
         raise ValueError("search supports at most 255 input symbols")
-    t0 = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     epsilon = cfg.epsilon
     greedy = epsilon == 0.0
     brute = math.isinf(epsilon)
     frontier = ParetoSet()
 
-    identity = bytes(range(n))
-    x0, y0 = evaluator.evaluate(identity)
-    frontier.add(ParetoPoint(x0, y0, encoder=Encoder(tuple(identity))))
+    level = np.arange(n, dtype=np.uint8)[None]  # the identity clustering
+    x0, y0 = evaluator.evaluate(level[0])
+    frontier.add(ParetoPoint(x0, y0, encoder=Encoder(tuple(range(n)))))
     searched = 1
     enqueued = 1
 
@@ -248,7 +242,6 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
     is_optimal = frontier.is_optimal
     add = frontier.add
 
-    level = np.frombuffer(identity, dtype=np.uint8)[None]
     m = n  # cluster count of every parent in the level
     while len(level) and m > 1:
         i_idx, j_idx = np.triu_indices(m, k=1)
@@ -295,8 +288,7 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
         enqueued += len(level)
         m -= 1
 
-    stats = SearchStats(searched, enqueued, time.perf_counter() - t0)
-    return frontier, stats
+    return frontier, SearchStats(searched, enqueued)
 
 
 def pareto_mapper(joint: JointPMF, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:

@@ -27,6 +27,8 @@ from .pareto import ParetoPoint, ParetoSet, pareto_mask
 MAX_EXHAUSTIVE_N = 13
 BLOCK_ROWS = 8192
 """Label strings per enumerated block; bounds the oracle's working memory."""
+SCORE_BLOCK = 256
+"""Candidate points per precision_recall comparison; bounds its memory."""
 
 
 def bell_number(n: int) -> int:
@@ -123,20 +125,30 @@ def precision_recall(
     candidate: ParetoSet, truth: ParetoSet, tol: float = 1e-9
 ) -> FrontierScore:
     """Score a candidate frontier: a point is a true positive iff some truth
-    point matches both coordinates within tol."""
+    point matches both coordinates within tol.
+
+    Both sets ascend in x, so each block of SCORE_BLOCK candidates is
+    compared only with the band of truth points whose x lies within 2 * tol
+    of the block's x-range. A rounded |dx| <= tol implies an exact |dx| <
+    2 * tol, so the band holds every match, and the test inside it is the
+    exact one.
+    """
     if not 0 <= tol < math.inf:  # also rejects NaN
         raise ValueError("tolerance must be finite and >= 0")
     cand = candidate.objectives()
     true = truth.objectives()
-    if len(cand) and len(true):
-        close = (np.abs(cand[:, None, 0] - true[None, :, 0]) <= tol) & (
-            np.abs(cand[:, None, 1] - true[None, :, 1]) <= tol
+    found = np.zeros(len(true), dtype=bool)
+    tp = 0
+    for lo in range(0, len(cand), SCORE_BLOCK):
+        block = cand[lo : lo + SCORE_BLOCK]
+        a = np.searchsorted(true[:, 0], block[0, 0] - 2 * tol, side="left")
+        b = np.searchsorted(true[:, 0], block[-1, 0] + 2 * tol, side="right")
+        close = (np.abs(block[:, None, 0] - true[None, a:b, 0]) <= tol) & (
+            np.abs(block[:, None, 1] - true[None, a:b, 1]) <= tol
         )
-        tp = int(close.any(axis=1).sum())
-        fn = int((~close.any(axis=0)).sum())
-    else:
-        tp = 0
-        fn = len(true)
+        tp += int(close.any(axis=1).sum())
+        found[a:b] |= close.any(axis=0)
+    fn = int((~found).sum())
     points = len(cand)
     precision = tp / points if points else 1.0
     recall = tp / (tp + fn) if tp + fn else 1.0

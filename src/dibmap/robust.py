@@ -71,7 +71,7 @@ def bootstrap_uncertainty(
     p_flat = (counts.n / counts.total).ravel()
     draws = rng.multinomial(counts.total, p_flat, size=reps)
     arr = draws.reshape(reps, counts.nx, counts.ny) / counts.total
-    labels = np.broadcast_to(np.asarray(f.assignment, dtype=np.uint8), (reps, f.n))
+    labels = np.broadcast_to(np.asarray(f.assignment), (reps, f.n))
     pushed = _push(labels, arr, f.m)
     xs, ys = _objectives(pushed, -xlog2x(pushed.sum(axis=1)).sum(axis=1))
     return float(np.std(xs, ddof=1)), float(np.std(ys, ddof=1))

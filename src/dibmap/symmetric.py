@@ -75,11 +75,8 @@ class _TripleEvaluator:
 
     def __init__(self, triple: TripleJointPMF):
         self.p = triple.p
+        self.n = triple.g
         self.hy = float(-xlog2x(self.p.sum(axis=(0, 1))).sum())
-
-    @property
-    def domain_size(self) -> int:
-        return self.p.shape[0]
 
     def _cells(self, labels: np.ndarray) -> np.ndarray:
         """(P, m, m, ny) triples q[z1, z2, y] of P encoders' label strings."""

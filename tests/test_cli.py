@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -109,6 +110,18 @@ class TestOracle:
         assert doc["score"]["precision"] == 1.0
         assert doc["score"]["recall"] == 1.0
         assert doc["score"]["fp"] == 0 and doc["score"]["fn"] == 0
+
+    def test_large_candidate_scored_quickly(self, tmp_path, diag2):
+        # documents list points ascending in H, so descending in x = -H
+        n = 150_000
+        h = np.linspace(0.0, 1.0, n).tolist()
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps({"points": [{"H": v, "I": v} for v in h]}))
+        t0 = time.perf_counter()
+        doc = json.loads(run(tmp_path, "oracle", "--pmf", str(diag2), "--candidate", str(cand)))
+        elapsed = time.perf_counter() - t0
+        assert (doc["score"]["points"], doc["score"]["tp"], doc["score"]["fn"]) == (n, 2, 0)
+        assert elapsed < 5.0
 
     def test_frontier_only(self, tmp_path, diag2):
         doc = json.loads(run(tmp_path, "oracle", "--pmf", str(diag2)))

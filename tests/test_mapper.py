@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -13,6 +14,7 @@ from dibmap import (
     ParetoPoint,
     ParetoSet,
     SearchConfig,
+    SearchStats,
     dmc_points,
     enqueue_probability,
     entropy,
@@ -121,7 +123,12 @@ class TestParetoMapper:
         f1, s1 = pareto_mapper(joint, cfg)
         f2, s2 = pareto_mapper(joint, cfg)
         assert frontier_pairs(f1) == frontier_pairs(f2)
-        assert (s1.points_searched, s1.enqueued) == (s2.points_searched, s2.enqueued)
+        assert s1 == s2  # counters only: no wall-clock field to differ
+
+    def test_stats_are_the_two_counters(self):
+        assert [f.name for f in dataclasses.fields(SearchStats)] == [
+            "points_searched", "enqueued"
+        ]
 
     def test_mean_work_nondecreasing_in_epsilon(self):
         joint = sample_simplex(7, 4, seed=13)

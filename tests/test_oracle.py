@@ -1,9 +1,12 @@
 import hashlib
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dibmap as dm
 from dibmap import (
@@ -20,7 +23,7 @@ from dibmap import (
 from dibmap.distributions import xlog2x
 from dibmap.encoders import canonicalize
 from dibmap.mapper import _objectives, _push
-from dibmap.oracle import BLOCK_ROWS, _rgs_blocks
+from dibmap.oracle import BLOCK_ROWS, SCORE_BLOCK, _rgs_blocks
 
 
 class TestEnumeration:
@@ -211,6 +214,62 @@ class TestPrecisionRecall:
         cand.add(ParetoPoint(-1.0 + 5e-10, 1.0 - 5e-10))
         assert precision_recall(cand, truth).tp == 1
         assert precision_recall(cand, truth, tol=1e-12).tp == 0
+
+    @staticmethod
+    def staircase(rng, n: int, scale: float) -> ParetoSet:
+        """n points ascending in x and descending in y, on a grid of step scale."""
+        xs = scale * np.cumsum(rng.integers(1, 4, n))
+        ys = scale * np.cumsum(rng.integers(1, 4, n))[::-1]
+        return ParetoSet(ParetoPoint(x, y) for x, y in zip(xs.tolist(), ys.tolist()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_true=st.integers(0, 1200),
+        n_cand=st.integers(0, 1200),
+        tol=st.sampled_from([0.0, 1e-300, 1e-12, 1e-9, 1e-6]),
+        scale=st.sampled_from([1e-12, 1e-9, 1e-6, 1.0, 1e3]),
+    )
+    def test_matches_dense_formula(self, seed, n_true, n_cand, tol, scale):
+        rng = np.random.default_rng(seed)
+        truth = self.staircase(rng, n_true, scale)
+        true = truth.objectives()
+        # truth points moved by whole and half tolerances, then by an ulp
+        near = true[rng.random(len(true)) < 0.5]
+        near = near + tol * rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], near.shape)
+        ulps = rng.integers(-1, 2, near.shape)
+        near = np.where(ulps == 0, near, np.nextafter(near, np.copysign(math.inf, ulps)))
+        rows = np.concatenate((self.staircase(rng, n_cand, scale).objectives(), near))
+        cand = ParetoSet(ParetoPoint(x, y) for x, y in rows.tolist())
+        got = cand.objectives()
+
+        close = (np.abs(got[:, None, 0] - true[None, :, 0]) <= tol) & (
+            np.abs(got[:, None, 1] - true[None, :, 1]) <= tol
+        )
+        tp = int(close.any(axis=1).sum())
+        fn = int((~close.any(axis=0)).sum())
+        score = precision_recall(cand, truth, tol)
+        assert (score.points, score.tp, score.fp, score.fn) == (len(got), tp, len(got) - tp, fn)
+
+    def test_truth_point_in_two_blocks_keeps_its_match(self):
+        # the last candidate of the first block matches the truth point; the
+        # next block's only candidate lies within 2 * tol of it in x only
+        n = SCORE_BLOCK
+        rows = [(float(i - n + 1), float(n - i)) for i in range(n)] + [(1e-9, 0.0)]
+        cand = ParetoSet(ParetoPoint(x, y) for x, y in rows)
+        truth = ParetoSet([ParetoPoint(0.0, 1.0)])
+        score = precision_recall(cand, truth, tol=1e-9)
+        assert (score.points, score.tp, score.fn) == (n + 1, 1, 0)
+
+    def test_large_frontier_scored_quickly(self):
+        n = 200_000
+        xs, ys = np.linspace(-10.0, 0.0, n).tolist(), np.linspace(5.0, 0.0, n).tolist()
+        frontier = ParetoSet(ParetoPoint(x, y) for x, y in zip(xs, ys))
+        t0 = time.perf_counter()
+        score = precision_recall(frontier, frontier)
+        elapsed = time.perf_counter() - t0
+        assert (score.points, score.tp, score.fp, score.fn) == (n, n, 0, 0)
+        assert elapsed < 2.0
 
     @pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf])
     def test_bad_tolerance_rejected(self, tol):

@@ -62,6 +62,11 @@ class TestBootstrapUncertainty:
         with pytest.raises(ValueError):
             bootstrap_uncertainty(counts, Encoder((0,)), 1, 0)
 
+    def test_more_than_256_clusters(self):
+        counts = EmpiricalCounts(np.ones((300, 2), int))
+        spreads = bootstrap_uncertainty(counts, Encoder.identity(300), 5, 0)
+        assert len(spreads) == 2 and all(map(math.isfinite, spreads))
+
     @pytest.mark.parametrize(
         "assignment", [(0, 1), (0, 1, 0, 1, 2)], ids=["short", "long"]
     )

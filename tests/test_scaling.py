@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,7 @@ class TestDibFrontierScaling:
         rows = dib_frontier_scaling([5], 3, seed=2, ny=6, engine="greedy")
         assert rows[0].mean_searched <= 52.0
         assert rows[0].mean_frontier >= 1.0
+        assert 0.0 < rows[0].mean_seconds < math.inf
 
     def test_power_law_fit_helper(self):
         ns = np.array([4, 8, 16, 32])
