@@ -1,4 +1,4 @@
-"""Deterministic hard clusterings in canonical form, plus the merge operator.
+"""Deterministic hard clusterings in canonical form.
 
 An encoder maps the n input symbols onto m <= n cluster labels. The
 canonical form is the restricted-growth labeling: cluster labels appear in
@@ -23,11 +23,6 @@ def _canonical(labels: Sequence[int]) -> tuple[int, ...]:
             relabel[a] = new
         out.append(new)
     return tuple(out)
-
-
-def _merge_labels(labels: Sequence[int], i: int, j: int) -> tuple[int, ...]:
-    """Canonical labels after uniting clusters i and j (i < j)."""
-    return _canonical([i if a == j else a for a in labels])
 
 
 @dataclass(frozen=True)
@@ -59,29 +54,19 @@ class Encoder:
             raise ValueError("domain size must be at least 1")
         return cls(tuple(range(n)))
 
+    @classmethod
+    def _prechecked(cls, assignment: tuple[int, ...], m: int) -> "Encoder":
+        """An encoder of int labels its caller has already checked canonical,
+        with m clusters; skips __post_init__'s per-label loop."""
+        enc = object.__new__(cls)
+        object.__setattr__(enc, "assignment", assignment)
+        object.__setattr__(enc, "m", m)
+        return enc
+
     @property
     def n(self) -> int:
         """Domain size."""
         return len(self.assignment)
-
-    def merge(self, i: int, j: int) -> "Encoder":
-        """The child encoder with clusters i and j united (0 <= i < j < m)."""
-        if not 0 <= i < j < self.m:
-            raise ValueError(f"invalid merge pair ({i}, {j}) for {self.m} clusters")
-        return Encoder(_merge_labels(self.assignment, i, j))
-
-    def children(self) -> list["Encoder"]:
-        """All m*(m-1)/2 single-merge children, in lexicographic (i, j) order."""
-        return [
-            self.merge(i, j) for i in range(self.m) for j in range(i + 1, self.m)
-        ]
-
-    def blocks(self) -> list[frozenset[int]]:
-        """The partition of [n] induced by this encoder, ordered by label."""
-        members: list[set[int]] = [set() for _ in range(self.m)]
-        for idx, a in enumerate(self.assignment):
-            members[a].add(idx)
-        return [frozenset(b) for b in members]
 
 
 def canonicalize(labels: Iterable[int]) -> Encoder:

@@ -6,8 +6,17 @@ count is the Bell number B(n). A hard cap of n = 13 (B(13) ~ 2.7e7) keeps
 exhaustive runs desk-scale. The strings are streamed in uint8 blocks of at
 most BLOCK_ROWS rows, for every n: all positions but the last two are
 expanded at once, the last two per group of prefixes (Knuth, TAOCP 4A,
-7.2.1.5). Each block is evaluated with the search's batched plain kernel
-and merged with the frontier so far, held as arrays, by one pareto_mask.
+7.2.1.5).
+
+Each block is evaluated from its prefixes. A group's prefixes are pushed
+forward once, padded to n clusters, with their xlog2x terms and cluster
+masses; each string gathers its prefix's and rebuilds only the one or
+two clusters its last positions land in. Every cell receives the same
+additions in the same order as a full push, and the reductions run over
+arrays of the same shape, so the objectives equal the search's batched
+plain kernel bit for bit. Each block is then merged with the frontier so
+far, held as arrays, by one pareto_mask, and the final frontier's
+encoders are checked canonical as one array.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import numpy as np
 from .distributions import JointPMF, xlog2x
 from .encoders import Encoder
 from .errors import CapacityError
-from .mapper import _objectives, _push
+from .mapper import _push
 from .pareto import ParetoPoint, ParetoSet, pareto_mask
 
 MAX_EXHAUSTIVE_N = 13
@@ -44,8 +53,9 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
-def _extend(block: np.ndarray) -> np.ndarray:
-    """Every RGS one longer than a string of the block, in lex order.
+def _extend(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every RGS one longer than a string of the block, in lex order, and
+    the index of the string each one extends.
 
     Each string is followed by 0 .. 1 + its maximum, so a lex-ordered block
     gives a lex-ordered result.
@@ -56,21 +66,65 @@ def _extend(block: np.ndarray) -> np.ndarray:
     out = np.empty((len(src), block.shape[1] + 1), dtype=np.uint8)
     out[:, :-1] = block[src]
     out[:, -1] = np.arange(len(src)) - first[src]
-    return out
+    return out, src
+
+
+def _rgs_groups(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every RGS of length n, in lex order, as blocks of at most BLOCK_ROWS.
+
+    Yields (prefixes, src, block): the block's strings are the completions
+    of a group of prefixes, and block[r] starts with prefixes[src[r]].
+    """
+    head = np.zeros((1, 1), dtype=np.uint8)
+    while head.shape[1] < n - 2:
+        head = _extend(head)[0]
+    # two more positions give a prefix of m <= n - 2 clusters m*m + 2m + 2 strings
+    step = max(1, BLOCK_ROWS // ((n - 1) ** 2 + 1))
+    for start in range(0, len(head), step):
+        prefixes = block = head[start : start + step]
+        src = np.arange(len(prefixes))
+        for _ in range(n - head.shape[1]):
+            block, rows = _extend(block)
+            src = src[rows]
+        yield prefixes, src, block
 
 
 def _rgs_blocks(n: int) -> Iterator[np.ndarray]:
     """Every RGS of length n, in lex order, as blocks of at most BLOCK_ROWS."""
-    head = np.zeros((1, 1), dtype=np.uint8)
-    while head.shape[1] < n - 2:
-        head = _extend(head)
-    # two more positions give a prefix of m <= n - 2 clusters m*m + 2m + 2 strings
-    step = max(1, BLOCK_ROWS // ((n - 1) ** 2 + 1))
-    for start in range(0, len(head), step):
-        block = head[start : start + step]
-        for _ in range(n - head.shape[1]):
-            block = _extend(block)
+    for _, _, block in _rgs_groups(n):
         yield block
+
+
+def _block_objectives(prefixes, src, block, p: np.ndarray, hy: float):
+    """mapper._objectives(_push(block, p, n), hy), bit for bit, from the
+    block's prefixes (see _rgs_groups).
+
+    The prefixes are pushed once, padded to n clusters, with their xlog2x
+    terms and cluster masses. Each string gathers its prefix's, then
+    rebuilds the clusters its tail positions land in: the prefix cell plus
+    those tail rows, added in input order, as _push adds them. Both
+    reductions run over arrays of _objectives' shape and values.
+    """
+    k, n = block.shape
+    lead = prefixes.shape[1]
+    pre = _push(prefixes, p[:lead], n)
+    terms = xlog2x(pre)[src]
+    marg = pre.sum(axis=2)[src]
+    strings = np.arange(k)
+    cells = []
+    for i in range(lead, n):
+        c = block[:, i]
+        cell = pre[src, c]
+        # a cluster an earlier tail row landed in continues from that cell
+        for j, earlier in enumerate(cells, lead):
+            cell = np.where((block[:, j] == c)[:, None], earlier, cell)
+        cell += p[i]
+        cells.append(cell)
+        terms[strings, c] = xlog2x(cell)
+        marg[strings, c] = cell.sum(axis=1)
+    hz = np.maximum(-xlog2x(marg).sum(axis=1), 0.0)
+    hzy = -terms.reshape(k, -1).sum(axis=1)
+    return -hz, np.maximum(hz + hy - hzy, 0.0)
 
 
 def enumerate_partitions(n: int) -> Iterator[Encoder]:
@@ -90,7 +144,8 @@ def brute_force_frontier(joint: JointPMF) -> ParetoSet:
     Each block's rows follow the frontier's, which come earlier in lex
     order, and pareto_mask keeps the first of exact duplicates, so the
     points and their representatives are those of offering every
-    partition to a ParetoSet in lex order.
+    partition to a ParetoSet in lex order. The frontier so far holds no
+    two points with equal x, so keeping it in ascending x changes nothing.
     """
     n = joint.nx
     if n > MAX_EXHAUSTIVE_N:
@@ -98,15 +153,26 @@ def brute_force_frontier(joint: JointPMF) -> ParetoSet:
     hy = float(-xlog2x(joint.marginal_y()).sum())
     xs = ys = np.empty(0)
     labels = np.empty((0, n), dtype=np.uint8)
-    for block in _rgs_blocks(n):
-        bx, by = _objectives(_push(block, joint.p, n), hy)
+    for prefixes, src, block in _rgs_groups(n):
+        bx, by = _block_objectives(prefixes, src, block, joint.p, hy)
         xs, ys = np.concatenate((xs, bx)), np.concatenate((ys, by))
         labels = np.concatenate((labels, block))
-        keep = pareto_mask(np.column_stack((xs, ys)))
+        keep = np.flatnonzero(pareto_mask(np.column_stack((xs, ys))))
+        # ascending x, so the next pareto_mask sorts mostly sorted rows
+        keep = keep[np.argsort(xs[keep], kind="stable")]
         xs, ys, labels = xs[keep], ys[keep], labels[keep]
-    order = np.argsort(xs)
-    points = zip(xs[order].tolist(), ys[order].tolist(), labels[order].tolist())
-    return ParetoSet(ParetoPoint(x, y, encoder=Encoder(tuple(r))) for x, y, r in points)
+    points = zip(xs.tolist(), ys.tolist(), _encoders(labels))
+    return ParetoSet(ParetoPoint(x, y, encoder=e) for x, y, e in points)
+
+
+def _encoders(labels: np.ndarray) -> list[Encoder]:
+    """One Encoder per label row, the canonical form checked once for all:
+    each row starts at 0 and no label exceeds 1 + the maximum before it."""
+    top = np.maximum.accumulate(labels, axis=1).astype(np.intp)
+    if labels[:, 0].any() or (labels[:, 1:] > top[:, :-1] + 1).any():
+        raise ValueError("label rows are not in first-occurrence canonical form")
+    ms = (top[:, -1] + 1).tolist()
+    return [Encoder._prechecked(r, m) for r, m in zip(zip(*labels.T.tolist()), ms)]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from dibmap import (
     Encoder,
     InvalidDistributionError,
     JointPMF,
+    canonicalize,
     entropy,
     multinomial_sample,
     mutual_information,
@@ -151,7 +152,8 @@ class TestPushForward:
         f = Encoder.identity(6)
         while f.m > 1:
             i = int(rng.integers(f.m - 1))
-            child = f.merge(i, int(rng.integers(i + 1, f.m)))
+            labels = np.array(f.assignment)
+            child = canonicalize(np.where(labels == rng.integers(i + 1, f.m), i, labels))
             assert mutual_information(push_forward(j, child)) <= (
                 mutual_information(push_forward(j, f)) + 1e-9
             )

@@ -23,7 +23,14 @@ from dibmap import (
 from dibmap.distributions import xlog2x
 from dibmap.encoders import canonicalize
 from dibmap.mapper import _objectives, _push
-from dibmap.oracle import BLOCK_ROWS, SCORE_BLOCK, _rgs_blocks
+from dibmap.oracle import (
+    BLOCK_ROWS,
+    SCORE_BLOCK,
+    _block_objectives,
+    _encoders,
+    _rgs_blocks,
+    _rgs_groups,
+)
 
 
 class TestEnumeration:
@@ -154,6 +161,42 @@ class TestBruteForceFrontier:
         assert got == [(p.x, p.y, p.encoder) for p in full]
 
 
+class TestPrefixKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        ny=st.sampled_from([1, 2, 5, 30]),
+        kind=st.sampled_from(["simplex", "zero-rows", "repeated-rows", "diagonal"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_push_bit_for_bit(self, n, ny, kind, seed):
+        rng = np.random.default_rng(seed)
+        p = np.diag(rng.random(n)) if kind == "diagonal" else rng.random((n, ny))
+        if kind == "zero-rows":
+            p[1:][rng.random(n - 1) < 0.5] = 0.0
+        if kind == "repeated-rows":
+            p = p[rng.integers(0, max(1, n // 3), n)]
+        p /= p.sum()
+        hy = float(-xlog2x(p.sum(axis=0)).sum())
+        for prefixes, src, block in _rgs_groups(n):
+            np.testing.assert_array_equal(block[:, : prefixes.shape[1]], prefixes[src])
+            got = _block_objectives(prefixes, src, block, p, hy)
+            want = _objectives(_push(block, p, n), hy)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+class TestEncoders:
+    def test_rows_become_their_encoders(self):
+        rows = np.array([[0, 0, 0], [0, 1, 0], [0, 1, 2]], dtype=np.uint8)
+        assert _encoders(rows) == [dm.Encoder(tuple(r)) for r in rows.tolist()]
+
+    @pytest.mark.parametrize("row", [[1, 0, 0], [0, 2, 1], [0, 1, 3]])
+    def test_non_canonical_rows_rejected(self, row):
+        rows = np.array([[0, 1, 1], row], dtype=np.uint8)
+        with pytest.raises(ValueError):
+            _encoders(rows)
+
+
 class TestGoldenFrontier:
     """Digests of exact frontier bytes, values and representative encoders.
 
@@ -169,10 +212,12 @@ class TestGoldenFrontier:
              "0e54b6c0a0c22a8ed55e879b7984a5c8db88e2439d14cbaa5e97c600bdcb5451"),
             (lambda: sample_simplex(11, 1, 5),
              "4b1645a6721d316c765d62bb1fa38b9397c0d5f7b7fb7949d80cefe8766e7d11"),
+            (lambda: sample_simplex(11, 30, 5),
+             "db411378ce755c3063cedfd84fce6552fe16cd3498cb420110c57307f46c0d13"),
             (repeated_row_joint,
              "606229077169f200376393a147024af63017b2ccc3b8006cb25e36315e71af8b"),
         ],
-        ids=["9x5", "11x1", "repeated-rows-10x3"],
+        ids=["9x5", "11x1", "11x30", "repeated-rows-10x3"],
     )
     def test_digest(self, make_joint, want):
         frontier = brute_force_frontier(make_joint())

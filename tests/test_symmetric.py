@@ -143,7 +143,8 @@ class TestSymmetricObjectives:
         assert prev[1] <= -2 * prev[0] + 1e-9
         while f.m > 1:
             i = int(rng.integers(f.m - 1))
-            f = f.merge(i, int(rng.integers(i + 1, f.m)))
+            labels = np.array(f.assignment)
+            f = canonicalize(np.where(labels == rng.integers(i + 1, f.m), i, labels))
             x, y = symmetric_objectives(t, f)
             assert y <= -2 * x + 1e-9
             assert y <= prev[1] + 1e-9  # merging never gains information
