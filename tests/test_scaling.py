@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -67,6 +68,37 @@ class TestSampleCloud:
         assert np.corrcoef(cloud[:, 0], cloud[:, 1])[0, 1] == pytest.approx(
             0.7, abs=0.01
         )
+
+
+class TestCrossBlockDraws:
+    """sha256 of _batch_sizes where the draws span several 4,000,000-point
+    blocks. The comonotone and countermonotone sizes are fixed by the law
+    (1 and n), so those two cases check the scan's bookkeeping; the
+    independent and gaussian ones pin the draw layout itself."""
+
+    @pytest.mark.parametrize(
+        "kind, n, trials, seed, want",
+        [
+            # blocks of 800 + 1 clouds of 5000 points
+            (INDEP, 5000, 801, 12,
+             "8e741f5f5165358f8314dc18aae9df0eb4dc3ae88d3fcd1de7eb100545040d88"),
+            (CopulaKind("comonotone"), 5000, 801, 12,
+             "649390eeb97eb999b2ca5ac43be41056afaf247b1de1da5b542947ef4836c127"),
+            (CopulaKind("countermonotone"), 5000, 801, 12,
+             "4329f2563b107046cf3cdec1a593958bc2dd5fd4dba3152c3f54145d3537875b"),
+            (CopulaKind("gaussian", -0.4), 5000, 801, 12,
+             "f2c7464c28b6ad650b39331f231ccbf23ce8ee4412f0a1922b52ff465da2c21e"),
+            # blocks of 13 + 1 clouds, each larger than 2**18 points
+            (INDEP, 300_000, 14, 13,
+             "2d959fd9ca46eade24ffc48629d14dc282422ec89760c954614c84de19d47507"),
+        ],
+        ids=["independent", "comonotone", "countermonotone", "gaussian",
+             "independent-large"],
+    )
+    def test_sizes_digest(self, kind, n, trials, seed, want):
+        sizes = _batch_sizes(kind, n, trials, seed)
+        assert sizes.dtype == np.int64 and sizes.shape == (trials,)
+        assert hashlib.sha256(sizes.tobytes()).hexdigest() == want
 
 
 class TestMembershipRoutes:
