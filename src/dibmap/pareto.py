@@ -145,9 +145,8 @@ def pareto_mask(points) -> np.ndarray:
     order = np.lexsort((-pts[:, 1], -pts[:, 0]))
     v = pts[order, 1]
     rec = np.empty(len(pts), dtype=bool)
-    rec[0] = True
-    if len(pts) > 1:
-        rec[1:] = v[1:] > np.maximum.accumulate(v)[:-1]
+    rec[:1] = True
+    rec[1:] = v[1:] > np.maximum.accumulate(v)[:-1]
     mask = np.empty(len(pts), dtype=bool)
     mask[order] = rec
     return mask

@@ -12,11 +12,23 @@ Two independent membership routes are used: the sort-based maxima filter
 pareto.pareto_mask on coordinate values, and a rank-statistics route here
 (membership depends only on the composed rank permutation, hence is
 invariant under strictly monotonic transformations of either axis).
+
+The batch experiment fixes its draws by blocks: a block of
+max(1, DRAW_BLOCK_POINTS // N) clouds is one stretch of the PCG64 stream,
+with an independent block's whole first coordinate drawn before its
+second. The clouds are drawn and scanned in sub-blocks of
+max(1, CLOUD_BLOCK_POINTS // N) clouds, the second coordinate of an
+independent block read through a copy of the bit generator jumped ahead
+with PCG64.advance. Memory is therefore bounded by CLOUD_BLOCK_POINTS
+however many clouds are drawn, and the sizes are those of drawing each
+whole block at once.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -30,6 +42,13 @@ from .oracle import bell_number, brute_force_frontier
 from .pareto import pareto_mask
 
 _TAGS = ("independent", "comonotone", "countermonotone", "gaussian")
+
+# Clouds are drawn in blocks of max(1, DRAW_BLOCK_POINTS // n) clouds of n
+# points; this layout of the PCG64 stream fixes every table.
+DRAW_BLOCK_POINTS = 4_000_000
+# Clouds are drawn and scanned in sub-blocks of max(1, CLOUD_BLOCK_POINTS // n)
+# clouds. It bounds the working arrays only: no draw depends on it.
+CLOUD_BLOCK_POINTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -57,28 +76,60 @@ class CopulaKind:
 # conclusions directly, so the areas are not integrated numerically.
 
 
-def _draw_clouds(kind: CopulaKind, rng, t: int, n: int):
-    """Coordinates (u, v), each (t, n), of t clouds of n points.
+def _draw_clouds(kind: CopulaKind, rng, trials: int, n: int):
+    """Yield the coordinates (u, v), each (s, n), of `trials` clouds of n
+    points, in sub-blocks of s = max(1, CLOUD_BLOCK_POINTS // n) clouds.
 
-    For independent clouds the whole u block is drawn before the v block.
+    The stream is laid out in blocks of max(1, DRAW_BLOCK_POINTS // n)
+    clouds, and for independent clouds a block's whole u is drawn before
+    its v. Each block is drawn one sub-block at a time, which gives the
+    same numbers, since consecutive random and standard_normal calls
+    continue one stream. An independent block's v comes from a copy of the
+    PCG64 bit generator advanced past the block's u: every random() double
+    takes exactly one 64-bit output. rng then skips that v itself.
     """
-    if kind.tag == "gaussian":
-        z = rng.standard_normal((t, n, 2))
-        u = z[:, :, 0]
-        return u, kind.r * u + math.sqrt(1.0 - kind.r**2) * z[:, :, 1]
-    u = rng.random((t, n))
-    if kind.tag == "independent":
-        return u, rng.random((t, n))
-    if kind.tag == "comonotone":
-        return u, u
-    return u, 1.0 - u
+    block = max(1, DRAW_BLOCK_POINTS // n)
+    sub = max(1, CLOUD_BLOCK_POINTS // n)
+    for start in range(0, trials, block):
+        t = min(block, trials - start)
+        if kind.tag == "independent":
+            ahead = np.random.Generator(copy.deepcopy(rng.bit_generator))
+            ahead.bit_generator.advance(t * n)
+        for first in range(0, t, sub):
+            s = min(sub, t - first)
+            if kind.tag == "gaussian":
+                z = rng.standard_normal((s, n, 2))
+                u = z[:, :, 0]
+                v = kind.r * u + math.sqrt(1.0 - kind.r**2) * z[:, :, 1]
+            else:
+                u = rng.random((s, n))
+                if kind.tag == "independent":
+                    v = ahead.random((s, n))
+                elif kind.tag == "comonotone":
+                    v = u
+                else:
+                    v = 1.0 - u
+            yield u, v
+        if kind.tag == "independent":
+            rng.bit_generator.advance(t * n)
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; ValueError naming `name` unless it is an integer."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def sample_cloud(kind: CopulaKind, n: int, seed: int) -> np.ndarray:
     """Draw an (n, 2) cloud with the given dependence; deterministic per seed."""
+    n = _integer("cloud size", n)
     if n < 1:
         raise ValueError("cloud size must be at least 1")
-    u, v = _draw_clouds(kind, np.random.default_rng(seed), 1, n)
+    u, v = next(_draw_clouds(kind, np.random.default_rng(seed), 1, n))
     return np.column_stack([u[0], v[0]])
 
 
@@ -95,9 +146,8 @@ def pareto_mask_by_ranks(points) -> np.ndarray:
     order = np.argsort(pts[:, 0])
     s = rank_v[order][::-1]
     rec = np.empty(n, dtype=bool)
-    rec[0] = True
-    if n > 1:
-        rec[1:] = s[1:] > np.maximum.accumulate(s)[:-1]
+    rec[:1] = True
+    rec[1:] = s[1:] > np.maximum.accumulate(s)[:-1]
     mask = np.empty(n, dtype=bool)
     mask[order] = rec[::-1]
     return mask
@@ -109,24 +159,32 @@ def pareto_size(points) -> int:
 
 def harmonic_number(n: int) -> float:
     """H_n = sum_{k=1..n} 1/k, the expected Pareto size of independent clouds."""
+    n = _integer("n", n)
+    if n < 0:
+        raise ValueError(f"the harmonic number needs n >= 0, got {n}")
     return float(np.sum(1.0 / np.arange(1, n + 1)))
 
 
+def _maxima_counts(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Pareto-set size of each cloud (u[i], v[i]): the strict records of v
+    met while scanning in descending u."""
+    vs = np.take_along_axis(v, np.argsort(-u, axis=1), axis=1)
+    run = np.maximum.accumulate(vs, axis=1)
+    return 1 + (vs[:, 1:] > run[:, :-1]).sum(axis=1)
+
+
 def _batch_sizes(kind: CopulaKind, n: int, trials: int, seed: int) -> np.ndarray:
-    """Pareto sizes of `trials` independent n-point clouds, vectorized."""
+    """Pareto sizes of `trials` independent n-point clouds, vectorized.
+
+    The clouds are drawn and scanned one sub-block at a time (see
+    _draw_clouds), so the working arrays stay near CLOUD_BLOCK_POINTS
+    points however many clouds there are, and the sizes are those of
+    drawing each DRAW_BLOCK_POINTS block at once.
+    """
     rng = np.random.default_rng(seed)
-    sizes = np.empty(trials, dtype=np.int64)
-    block = max(1, 4_000_000 // n)
-    done = 0
-    while done < trials:
-        t = min(block, trials - done)
-        u, v = _draw_clouds(kind, rng, t, n)
-        idx = np.argsort(-u, axis=1)
-        vs = np.take_along_axis(v, idx, axis=1)
-        run = np.maximum.accumulate(vs, axis=1)
-        sizes[done : done + t] = 1 + (vs[:, 1:] > run[:, :-1]).sum(axis=1)
-        done += t
-    return sizes
+    return np.concatenate(
+        [_maxima_counts(u, v) for u, v in _draw_clouds(kind, rng, trials, n)]
+    )
 
 
 @dataclass(frozen=True)
@@ -140,8 +198,10 @@ def scaling_experiment(
     kind: CopulaKind, n_values: Sequence[int], trials: int, seed: int
 ) -> list[CloudScalingRow]:
     """Mean and std of the Pareto-set size per cloud size, over `trials` clouds."""
+    trials = _integer("trials", trials)
     if trials < 10:
         raise ValueError("at least 10 trials are required")
+    n_values = [_integer("cloud size", n) for n in n_values]
     if any(n < 1 for n in n_values):
         raise ValueError("cloud size must be at least 1")
     rows = []
@@ -202,5 +262,11 @@ def dib_frontier_scaling(
 
 def fit_power_law(ns, values) -> tuple[float, float]:
     """Slope and R^2 of the log-log least-squares fit value ~ n^slope."""
-    slope, _, r2 = least_squares_line(np.log(np.asarray(ns, float)), np.log(values))
+    ns = np.asarray(ns, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if ns.ndim != 1 or ns.shape != values.shape or len(np.unique(ns)) < 2:
+        raise ValueError("a power-law fit needs values at two or more distinct n")
+    if not (np.all(ns > 0) and np.all(values > 0)):
+        raise ValueError("a power-law fit needs positive n and values")
+    slope, _, r2 = least_squares_line(np.log(ns), np.log(values))
     return slope, r2

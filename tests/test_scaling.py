@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,16 @@ from dibmap import (
     scaling_experiment,
 )
 from dibmap._util import least_squares_line
-from dibmap.scaling import _batch_sizes, fit_power_law
+from dibmap.scaling import (
+    CLOUD_BLOCK_POINTS,
+    _batch_sizes,
+    _draw_clouds,
+    fit_power_law,
+)
 
 INDEP = CopulaKind("independent")
+KINDS = [INDEP, CopulaKind("comonotone"), CopulaKind("countermonotone"),
+         CopulaKind("gaussian", -0.4)]
 
 
 class TestCopulaKind:
@@ -52,12 +60,7 @@ class TestSampleCloud:
             cloud = sample_cloud(CopulaKind("countermonotone"), 137, seed)
             assert pareto_size(cloud) == 137
 
-    @pytest.mark.parametrize(
-        "kind",
-        [INDEP, CopulaKind("comonotone"), CopulaKind("countermonotone"),
-         CopulaKind("gaussian", -0.4)],
-        ids=lambda k: k.tag,
-    )
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.tag)
     def test_single_cloud_of_the_batch_sampler(self, kind):
         for seed in range(5):
             cloud = sample_cloud(kind, 300, seed)
@@ -99,6 +102,44 @@ class TestCrossBlockDraws:
         sizes = _batch_sizes(kind, n, trials, seed)
         assert sizes.dtype == np.int64 and sizes.shape == (trials,)
         assert hashlib.sha256(sizes.tobytes()).hexdigest() == want
+
+
+class TestSubBlocks:
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.tag)
+    def test_sub_blocks_are_bounded_and_cover_every_cloud(self, kind):
+        rng = np.random.default_rng(0)
+        shapes = [u.shape + v.shape for u, v in _draw_clouds(kind, rng, 200, 3000)]
+        # 87 clouds of 3000 points fit in CLOUD_BLOCK_POINTS
+        assert shapes == [(87, 3000) * 2, (87, 3000) * 2, (26, 3000) * 2]
+
+    def test_clouds_larger_than_a_sub_block_come_one_at_a_time(self):
+        n = CLOUD_BLOCK_POINTS + 1
+        rng = np.random.default_rng(0)
+        assert [u.shape for u, _ in _draw_clouds(INDEP, rng, 3, n)] == [(1, n)] * 3
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.tag)
+    def test_traced_peak_is_flat_in_the_cloud_count(self, kind):
+        """4,096,000 points would take 31 MiB per float array if a whole
+        draw block were held at once."""
+        tracemalloc.start()
+        try:
+            scaling_experiment(kind, [4096], 1000, seed=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+class TestEmptyPointSets:
+    @pytest.mark.parametrize("points", [np.empty((0, 2)), []])
+    def test_masks_are_empty_and_size_is_zero(self, points):
+        for mask in (pareto_mask(points), pareto_mask_by_ranks(points)):
+            assert mask.dtype == bool and mask.shape == (0,)
+        assert pareto_size(points) == 0
+
+    def test_single_point_is_maximal(self):
+        for route in (pareto_mask, pareto_mask_by_ranks):
+            np.testing.assert_array_equal(route([[0.3, 0.7]]), [True])
 
 
 class TestMembershipRoutes:
@@ -147,9 +188,31 @@ class TestScalingExperiment:
         with pytest.raises(ValueError, match="at least 1"):
             scaling_experiment(INDEP, n_values, 10, seed=0)
 
+    @pytest.mark.parametrize("n_values", [[2.5], [16, 32.0], [True]])
+    def test_rejects_non_integer_cloud_sizes(self, n_values):
+        with pytest.raises(ValueError, match="cloud size must be an integer"):
+            scaling_experiment(INDEP, n_values, 10, seed=0)
+
+    @pytest.mark.parametrize("trials", [12.5, 20.0, "20"])
+    def test_rejects_non_integer_trials(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            scaling_experiment(INDEP, [16], trials, seed=0)
+
+    def test_accepts_numpy_integers(self):
+        rows = scaling_experiment(INDEP, [np.int64(16)], np.int32(10), seed=0)
+        assert rows == scaling_experiment(INDEP, [16], 10, seed=0)
+
     def test_independent_mean_tracks_harmonic_number(self):
         rows = scaling_experiment(INDEP, [256], 800, seed=11)
         assert rows[0].mean == pytest.approx(harmonic_number(256), rel=0.05)
+
+    def test_harmonic_number(self):
+        assert harmonic_number(0) == 0.0
+        assert harmonic_number(4) == pytest.approx(25 / 12)
+        with pytest.raises(ValueError, match="n >= 0"):
+            harmonic_number(-3)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            harmonic_number(2.5)
 
     def test_independent_slope_in_log_n(self):
         ns = [2**k for k in range(4, 11)]
@@ -200,6 +263,23 @@ class TestDibFrontierScaling:
         assert rows[0].mean_searched <= 52.0
         assert rows[0].mean_frontier >= 1.0
         assert 0.0 < rows[0].mean_seconds < math.inf
+
+    @pytest.mark.parametrize(
+        "ns, values",
+        [([8], [3.0]), ([], []), ([8, 8], [3.0, 4.0]), ([4, 8, 16], [1.0, 2.0])],
+    )
+    def test_power_law_fit_needs_two_distinct_n(self, ns, values):
+        with pytest.raises(ValueError, match="two or more distinct n"):
+            fit_power_law(ns, values)
+
+    @pytest.mark.parametrize(
+        "ns, values",
+        [([4, 8], [1.0, 0.0]), ([4, 8], [-1.0, 2.0]), ([0, 8], [1.0, 2.0]),
+         ([4, 8], [1.0, math.nan])],
+    )
+    def test_power_law_fit_needs_positive_values(self, ns, values):
+        with pytest.raises(ValueError, match="positive n and values"):
+            fit_power_law(ns, values)
 
     def test_power_law_fit_helper(self):
         ns = np.array([4, 8, 16, 32])
