@@ -233,8 +233,10 @@ def dib_frontier_scaling(
     """
     if engine not in ("oracle", "greedy"):
         raise ValueError("engine must be 'oracle' or 'greedy'")
+    trials = _integer("trials", trials)
     if trials < 1:
         raise ValueError("at least 1 trial is required")
+    n_values = [_integer("input size", n) for n in n_values]
     rows = []
     for n in n_values:
         front = np.empty(trials)
@@ -265,7 +267,9 @@ def fit_power_law(ns, values) -> tuple[float, float]:
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
     if ns.ndim != 1 or ns.shape != values.shape or len(np.unique(ns)) < 2:
-        raise ValueError("a power-law fit needs values at two or more distinct n")
+        raise ValueError(
+            "a power-law fit needs one value per n, at two or more distinct n"
+        )
     if not (np.all(ns > 0) and np.all(values > 0)):
         raise ValueError("a power-law fit needs positive n and values")
     slope, _, r2 = least_squares_line(np.log(ns), np.log(values))

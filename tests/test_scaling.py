@@ -246,6 +246,15 @@ class TestDibFrontierScaling:
         with pytest.raises(ValueError):
             dib_frontier_scaling([4], 0, 0)
 
+    @pytest.mark.parametrize(
+        "n_values, trials, match",
+        [([4], 1.5, "trials must be an integer"),
+         ([2.5], 1, "input size must be an integer")],
+    )
+    def test_rejects_non_integer_counts(self, n_values, trials, match):
+        with pytest.raises(ValueError, match=match):
+            dib_frontier_scaling(n_values, trials, 0, ny=3)
+
     def test_generic_two_symbol_frontier_has_two_points(self):
         rows = dib_frontier_scaling([2], 10, seed=4, ny=6, engine="oracle")
         assert rows[0].mean_frontier == 2.0
