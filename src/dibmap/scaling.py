@@ -237,6 +237,8 @@ def dib_frontier_scaling(
     if trials < 1:
         raise ValueError("at least 1 trial is required")
     n_values = [_integer("input size", n) for n in n_values]
+    if any(n < 1 for n in n_values):
+        raise ValueError("input size must be at least 1")
     rows = []
     for n in n_values:
         front = np.empty(trials)

@@ -249,9 +249,10 @@ class TestDibFrontierScaling:
     @pytest.mark.parametrize(
         "n_values, trials, match",
         [([4], 1.5, "trials must be an integer"),
-         ([2.5], 1, "input size must be an integer")],
+         ([2.5], 1, "input size must be an integer"),
+         ([4, -2], 1, "input size must be at least 1")],
     )
-    def test_rejects_non_integer_counts(self, n_values, trials, match):
+    def test_rejects_bad_counts(self, n_values, trials, match):
         with pytest.raises(ValueError, match=match):
             dib_frontier_scaling(n_values, trials, 0, ny=3)
 
