@@ -194,9 +194,13 @@ class TestGoldenCounts:
             # order on levels wider than one kernel slice
             (lambda: sample_simplex(10, 5, 1), SearchConfig(0.3, 3), (115763, 69583, 50),
              "33be811415a84eed2aa10805666fcef23d3f3d986099cf149f199cc91843fb92"),
+            # a child's labels read as one mixed-radix number exceed 2^64 on
+            # levels 24..10 of 24 symbols: pins dedup across several key words
+            (lambda: sample_simplex(24, 5, 1), SearchConfig(0.0, 3), (761879, 9741, 324),
+             "ce205604635ed6041b11c12573f3165e45b6c29b4dc75c5bc6e4be9e7db1aeca"),
         ],
         ids=["9x5-eps0", "9x5-eps0.02", "9x5-eps0.05", "9x5-eps0.3", "9x5-inf",
-             "20x20-counts-eps0", "10x5-eps0.3"],
+             "20x20-counts-eps0", "10x5-eps0.3", "24x5-eps0"],
     )
     def test_counts(self, make_joint, cfg, want, digest):
         frontier, stats = pareto_mapper(make_joint(), cfg)
