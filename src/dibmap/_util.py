@@ -15,6 +15,15 @@ def derive_seed(base: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def check_seed(seed) -> None:
+    """Reject at once a seed numpy's generators would refuse only when drawing.
+
+    A seed is a non-negative integer; bool is not one.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def least_squares_line(u, v) -> tuple[float, float, float]:
     """Fit v = slope * u + intercept; returns (slope, intercept, r_squared)."""
     u = np.asarray(u, dtype=float)

@@ -3,8 +3,7 @@
 An encoder maps the n input symbols onto m <= n cluster labels. The
 canonical form is the restricted-growth labeling: cluster labels appear in
 order of first occurrence, so two label arrays inducing the same partition
-of the inputs canonicalize to the same tuple. That tuple doubles as the
-partition's dedup key during search.
+of the inputs canonicalize to the same tuple.
 """
 
 from __future__ import annotations

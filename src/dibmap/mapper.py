@@ -12,8 +12,10 @@ search that keeps only the children that enter the frontier (not those
 tying it on a wall of its staircase, where d is also 0); an infinite
 epsilon keeps everything (brute force).
 
-A level's children are held as one uint8 array of canonical labels, built
-in one pass. One np.unique drops later occurrences of a partition, and the
+A level is one uint8 array of its parents' canonical labels; its children
+are never built as a whole. Each child (parent, merge pair) gets an exact
+integer key computed from its parent row alone (see _first_children), and
+one sort of the keys keeps each partition's first occurrence. The
 evaluator's merge_objectives computes the survivors' objectives from their
 parents' pushed-forward arrays, updating only the cells each merge touches,
 in parent-aligned slices of about CHUNK_CHILDREN children. Frontier offers
@@ -23,9 +25,9 @@ The batched values depend on the merge path in their last bits, so a
 child within INFO_TOL of the frontier is evaluated again from scratch, and
 the offer is decided on that path-independent value: one partition, or
 two with equal objectives, never becomes several frontier points.
-Clusterings travel as rows of that array; a child's labels become a byte
-string only when it is evaluated again, and an Encoder only when it enters
-the frontier.
+A child's labels are built, through the level's merge table, only where
+they are read: when it is evaluated again, as an Encoder when it enters
+the frontier, and as a row of the next level when it is kept.
 
 Most children are far inside the dominated region, so each block of
 OFFER_BLOCK children is first tested against a snapshot of the frontier in
@@ -45,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import check_seed
 from .distributions import INFO_TOL, JointPMF, xlog2x
 from .encoders import Encoder
 from .pareto import ParetoPoint, ParetoSet
@@ -60,7 +63,8 @@ OFFER_BLOCK = 256
 class SearchConfig:
     """Tuning knobs for one search run.
 
-    epsilon is the search depth scale in bits (math.inf for brute force).
+    epsilon is the search depth scale in bits (math.inf for brute force);
+    seed is a non-negative integer.
     """
 
     epsilon: float
@@ -69,6 +73,7 @@ class SearchConfig:
     def __post_init__(self):
         if not self.epsilon >= 0:  # also rejects NaN
             raise ValueError("epsilon must be >= 0")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -127,17 +132,89 @@ def _reach(draws: np.ndarray, epsilon: float) -> np.ndarray:
         return 2 * INFO_TOL + epsilon * (1e-12 - np.log(draws))
 
 
-def _merge_children(parents: np.ndarray, i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
-    """Canonical labels of every merge child, parent-major, then in pair order.
+def _merge_table(i_idx: np.ndarray, j_idx: np.ndarray, m: int) -> np.ndarray:
+    """(pairs, m) uint8 table: row k relabels a canonical parent with m
+    clusters into its child uniting clusters i_idx[k] < j_idx[k].
 
-    Because a parent is canonical, uniting clusters i < j relabels as:
-    j -> i, labels above j shift down by one, everything else unchanged.
-    The arithmetic stays in uint8, so a level costs one byte per label.
+    Because a parent is canonical, the union relabels as: j -> i, labels
+    above j shift down by one, everything else unchanged; the child is
+    canonical too. A child's labels are table[pair][parent_labels].
     """
-    a = parents[:, None, :]
+    a = np.arange(m, dtype=np.uint8)
     i = i_idx.astype(np.uint8)[:, None]
     j = j_idx.astype(np.uint8)[:, None]
-    return np.where(a == j, i, a - (a > j)).reshape(-1, parents.shape[1])
+    return np.where(a == j, i, a - (a > j))
+
+
+def _key_weights(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Word index and weight of each label position in the child keys of a
+    level whose parents have m clusters.
+
+    A child's label at position c is at most min(c, m - 2), so reading its
+    labels as a mixed-radix number, radix min(c + 1, m - 1) at position c,
+    is injective. Positions are packed in order into as few words as keep
+    each word's radices' product within 2^64, so every word's value is an
+    exact uint64.
+    """
+    word, weight = [], []
+    k, w = 0, 1
+    for c in range(n):
+        radix = min(c + 1, m - 1)
+        if w * radix > 1 << 64:
+            k, w = k + 1, 1
+        word.append(k)
+        weight.append(w)
+        w *= radix
+    return np.array(word), np.array(weight, dtype=np.uint64)
+
+
+def _child_keys(level: np.ndarray) -> np.ndarray:
+    """(words, P * pairs) uint64 keys of every merge child of a level of P
+    canonical parents, parent-major and then in np.triu_indices pair order.
+
+    The keys (see _key_weights) are linear in the labels. With S[k] the
+    weight sum of parent cluster k, and key(parent) the parent's labels
+    read with the same weights, uniting i < j gives
+    key(child) = key(parent) - (j - i) S[j] - sum_{k > j} S[k],
+    so each child costs O(1) per word and its labels are never built.
+    uint64 arrays wrap silently, and every true key fits its word, so the
+    wrapped arithmetic is exact.
+    """
+    p, n = level.shape
+    m = int(level.max()) + 1
+    word, weight = _key_weights(n, m)
+    s = np.zeros((word[-1] + 1, p, m), dtype=np.uint64)
+    rows = np.arange(p)
+    for c in range(n):
+        s[word[c], rows, level[:, c]] += weight[c]
+    labels = np.arange(m, dtype=np.uint64)
+    # the key of uniting 0 and j; uniting i and j adds i S[j]
+    at_zero = s.cumsum(axis=2) - s.sum(axis=2, keepdims=True) - labels * s
+    at_zero += (labels * s).sum(axis=2, keepdims=True)
+    keys = np.empty((len(s), p, m * (m - 1) // 2), dtype=np.uint64)
+    lo = 0
+    for i in range(m - 1):  # the pairs (i, j > i) are contiguous
+        block = keys[:, :, lo : lo + m - 1 - i]
+        np.multiply(s[:, :, i + 1 :], np.uint64(i), out=block)
+        block += at_zero[:, :, i + 1 :]
+        lo += m - 1 - i
+    return keys.reshape(len(s), -1)
+
+
+def _first_children(level: np.ndarray) -> np.ndarray:
+    """Ascending indices, numbered as _child_keys numbers the children, of
+    the first occurrence of each partition among a level's merge children."""
+    keys = _child_keys(level)
+    if len(keys) == 1:
+        order = np.argsort(keys[0])
+        keys.sort()  # in place: no gathered copy of the keys
+    else:
+        order = np.lexsort(keys[::-1])
+        keys = keys[:, order]
+    starts = np.r_[0, np.flatnonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)) + 1]
+    new = np.minimum.reduceat(order, starts)  # argsort is not stable
+    new.sort()
+    return new
 
 
 def _onehot(labels: np.ndarray) -> np.ndarray:
@@ -245,11 +322,9 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
     m = n  # cluster count of every parent in the level
     while len(level) and m > 1:
         i_idx, j_idx = np.triu_indices(m, k=1)
-        children = _merge_children(level, i_idx, j_idx)
-        # first occurrence of each partition
-        _, new = np.unique(children.view(f"V{n}").ravel(), return_index=True)
-        new.sort()
-        draws = rng.random(len(children))[new]  # one draw per child, in pair order
+        merge = _merge_table(i_idx, j_idx, m)
+        new = _first_children(level)
+        draws = rng.random(len(level) * len(i_idx))[new]  # one draw per child, in pair order
         parent, pair = np.divmod(new, len(i_idx))
         # the kernel sees parent-aligned slices of about CHUNK_CHILDREN children
         step = max(1, CHUNK_CHILDREN // len(i_idx))
@@ -271,20 +346,20 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
             # the frontier only grows, so this snapshot's verdicts hold for
             # the whole block
             live = lo + np.flatnonzero(~dominated(xs[lo:hi] + r, ys[lo:hi] + r))
-            for k, c, x, y, draw in zip(
-                live.tolist(), new[live].tolist(), xs[live].tolist(), ys[live].tolist(),
-                draws[live].tolist(),
+            for k, p, q, x, y, draw in zip(
+                live.tolist(), parent[live].tolist(), pair[live].tolist(),
+                xs[live].tolist(), ys[live].tolist(), draws[live].tolist(),
             ):
                 d = distance(x, y)
                 if d <= INFO_TOL:  # a tie may hinge on the path-dependent last bits
-                    x, y = evaluate(children[c])
+                    x, y = evaluate(merge[q][level[p]])
                     d = distance(x, y)
                 entered = d == 0.0 and is_optimal(x, y)
                 if entered:
-                    add(ParetoPoint(x, y, encoder=Encoder(tuple(children[c].tolist()))))
+                    add(ParetoPoint(x, y, encoder=Encoder(tuple(merge[q][level[p]].tolist()))))
                 # at epsilon = 0, d is also 0 on the walls: keep entries only
                 keep[k] = entered if greedy else draw < enqueue_probability(d, epsilon)
-        level = children[new[keep]]
+        level = merge[pair[keep, None], level[parent[keep]]]
         enqueued += len(level)
         m -= 1
 

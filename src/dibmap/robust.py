@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import derive_seed
+from ._util import check_seed, derive_seed
 from .distributions import EmpiricalCounts, normalize_counts, xlog2x
 from .encoders import Encoder
 from .errors import DimensionMismatchError
@@ -43,6 +43,7 @@ class RobustConfig:
     z: float = 1.0
 
     def __post_init__(self):
+        check_seed(self.seed)
         reps = self.bootstrap_reps
         if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)):
             raise ValueError("bootstrap_reps must be an integer")

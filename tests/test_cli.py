@@ -373,6 +373,11 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert not out.exists()
 
+    def test_negative_seed_is_exit_one(self, diag2, capsys):
+        rc = main(["map", "--pmf", str(diag2), "--epsilon", "0", "--seed", "-1"])
+        assert rc == 1
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
     def test_no_dedup_flag_is_gone(self, diag2):
         with pytest.raises(SystemExit) as exc:
             main(["map", "--pmf", str(diag2), "--epsilon", "0", "--seed", "1",

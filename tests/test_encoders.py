@@ -4,15 +4,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dibmap import Encoder, canonicalize
-from dibmap.mapper import _merge_children
+from dibmap.mapper import _merge_table
 
 label_arrays = st.lists(st.integers(0, 8), min_size=1, max_size=12)
 
 
 def merge(labels, i, j):
     """Canonical labels after uniting clusters i < j, by the search's operator."""
-    row = np.array([labels], dtype=np.uint8)
-    return tuple(_merge_children(row, np.array([i]), np.array([j]))[0].tolist())
+    table = _merge_table(np.array([i]), np.array([j]), max(labels) + 1)
+    return tuple(table[0][np.array(labels, dtype=np.uint8)].tolist())
 
 
 def blocks(labels):

@@ -25,7 +25,14 @@ from dibmap import (
     upper_hull,
 )
 from dibmap.encoders import canonicalize
-from dibmap.mapper import _JointEvaluator, _merge_children, _objectives, _push
+from dibmap.mapper import (
+    _first_children,
+    _JointEvaluator,
+    _key_weights,
+    _merge_table,
+    _objectives,
+    _push,
+)
 from dibmap.symmetric import _TripleEvaluator
 
 DIAG2 = JointPMF(np.diag([0.5, 0.5]))
@@ -150,6 +157,17 @@ class TestParetoMapper:
         with pytest.raises(ValueError):
             SearchConfig(epsilon=math.nan, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, False, "3", None, np.int64(-2)])
+    def test_bad_seed_rejected(self, seed):
+        # numpy would refuse these only once the search draws
+        with pytest.raises(ValueError, match="seed"):
+            SearchConfig(0.0, seed)
+
+    @pytest.mark.parametrize("seed", [0, np.int64(7), np.uint64(2**64 - 1), 2**70])
+    def test_integer_seeds_accepted(self, seed):
+        _, stats = pareto_mapper(DIAG2, SearchConfig(0.05, seed))
+        assert stats.points_searched == 2
+
 
 def frontier_digest(frontier):
     """sha256 of a frontier's exact values and representative encoders."""
@@ -206,6 +224,73 @@ class TestGoldenCounts:
         frontier, stats = pareto_mapper(make_joint(), cfg)
         assert (stats.points_searched, stats.enqueued, len(frontier)) == want
         assert frontier_digest(frontier) == digest
+
+
+def unique_children(level, i_idx, j_idx):
+    """Reference dedup: every child's labels, parent-major then in pair
+    order, and the first occurrence of each distinct row."""
+    a = level[:, None, :]
+    i = i_idx.astype(np.uint8)[:, None]
+    j = j_idx.astype(np.uint8)[:, None]
+    children = np.where(a == j, i, a - (a > j)).reshape(-1, level.shape[1])
+    new = np.unique(children.view(f"V{level.shape[1]}").ravel(), return_index=True)[1]
+    new.sort()
+    return new
+
+
+def random_level(rng, n, m, distinct, size):
+    """size canonical label rows with m clusters each, drawn with repeats
+    from `distinct` random ones; labels skew low, so children collide."""
+    rows = []
+    for _ in range(distinct):
+        labels = rng.integers(0, rng.integers(1, m + 1), size=n)
+        labels[rng.permutation(n)[:m]] = np.arange(m)
+        rows.append(canonicalize(labels).assignment)
+    return np.array(rows, dtype=np.uint8)[rng.integers(distinct, size=size)]
+
+
+class TestFirstChildren:
+    """The search's dedup on integer keys built from the parents keeps the
+    same children as building every child's labels and deduplicating rows."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_row_dedup(self, seed, n, data):
+        rng = np.random.default_rng(seed)
+        m = data.draw(st.integers(2, n))
+        distinct = data.draw(st.integers(1, 6))
+        level = random_level(rng, n, m, distinct, data.draw(st.integers(1, 10)))
+        i_idx, j_idx = np.triu_indices(m, k=1)
+        assert np.array_equal(
+            _first_children(level), unique_children(level, i_idx, j_idx)
+        )
+
+    @pytest.mark.parametrize("n", [2, 5, 21, 40])
+    def test_two_clusters_give_one_child(self, n):
+        # every child of a 2-cluster level is the all-zero row
+        level = random_level(np.random.default_rng(n), n, 2, 3, 5)
+        i_idx, j_idx = np.triu_indices(2, k=1)
+        assert _first_children(level).tolist() == [0]
+
+    @pytest.mark.parametrize("n", [3, 9, 20, 24, 40])
+    def test_identity_children_are_distinct(self, n):
+        level = np.arange(n, dtype=np.uint8)[None]
+        i_idx, j_idx = np.triu_indices(n, k=1)
+        new = _first_children(level)
+        assert new.tolist() == list(range(len(i_idx)))
+
+    @pytest.mark.parametrize("n, m, words", [
+        (20, 20, 1), (21, 21, 2), (24, 24, 2), (24, 10, 2), (24, 9, 1), (40, 40, 3),
+        (255, 255, 28),
+    ])
+    def test_key_words(self, n, m, words):
+        word, weight = _key_weights(n, m)
+        assert word[-1] + 1 == words
+        radix = np.minimum(np.arange(1, n + 1), m - 1)
+        for k in range(words):
+            # the largest key, sum (radix - 1) * weight, fits the word exactly
+            top = sum(int(r - 1) * int(w) for r, w in zip(radix[word == k], weight[word == k]))
+            assert top < 2**64
 
 
 class TestRowPermutation:
@@ -294,7 +379,7 @@ class TestMergeObjectives:
             lab = parents[parent[k]]
             f = canonicalize(np.where(lab == j_idx[k], i_idx[k], lab))
             key = bytes(f.assignment)
-            child = _merge_children(lab[None], i_idx[k : k + 1], j_idx[k : k + 1])
+            child = _merge_table(i_idx[k : k + 1], j_idx[k : k + 1], int(lab.max()) + 1)[0][lab]
             assert child.tobytes() == key
             keys.append(key)
         # the oracle's kernel, on the same children padded to n clusters

@@ -1,5 +1,7 @@
 import math
 import os
+import pathlib
+import subprocess
 import sys
 import threading
 
@@ -200,6 +202,11 @@ class TestRobustParetoMapper:
                 RobustConfig(0.0, 1, bootstrap_reps=reps)
         assert RobustConfig(0.0, 1, bootstrap_reps=np.int64(2)).bootstrap_reps == 2
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", None, np.int64(-2)])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            RobustConfig(0.0, seed)
+
     @pytest.mark.parametrize("z", [math.nan, math.inf])
     def test_non_finite_z_rejected(self, z):
         with pytest.raises(ValueError):
@@ -259,6 +266,22 @@ class TestBootstrapPool:
             self.check_matches_serial_loop()
         finally:
             sys.setswitchinterval(interval)
+
+    def test_import_loads_no_executor(self):
+        # the pool imports its executor lazily: concurrent.futures pulls in
+        # logging, and both would add to every command's start-up time
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules)\n"
+            "import dibmap\n"
+            "print(sorted(m for m in ('concurrent.futures', 'logging')"
+            " if m in sys.modules and m not in before))"
+        )
+        src = pathlib.Path(dibmap.__file__).resolve().parents[1]
+        run = subprocess.run(
+            [sys.executable, "-c", code, str(src)], capture_output=True, text=True, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
 
     def test_task_exception_propagates(self, monkeypatch):
         real = dibmap.robust.bootstrap_uncertainty
