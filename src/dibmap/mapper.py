@@ -14,7 +14,7 @@ epsilon keeps everything (brute force).
 
 A level is one uint8 array of its parents' canonical labels; its children
 are never built as a whole. Each child (parent, merge pair) gets an exact
-integer key computed from its parent row alone (see _first_children), and
+integer key computed from its parent row alone (see _child_keys), and
 one sort of the keys keeps each partition's first occurrence. The
 evaluator's merge_objectives computes the survivors' objectives from their
 parents' pushed-forward arrays, updating only the cells each merge touches,
