@@ -16,7 +16,9 @@ additions in the same order as a full push, and the reductions run over
 arrays of the same shape, so the objectives equal the search's batched
 plain kernel bit for bit. Each block is then merged with the frontier so
 far, held as arrays, by one pareto_mask, and the final frontier's
-encoders are checked canonical as one array.
+encoders are checked canonical as one array. Block rows the frontier so
+far weakly dominates, nearly all on a random joint, are dropped before
+the merge by one binary search.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .distributions import JointPMF, xlog2x
 from .encoders import Encoder
 from .errors import CapacityError
 from .mapper import _push
-from .pareto import ParetoPoint, ParetoSet, pareto_mask
+from .pareto import ParetoPoint, ParetoSet, pareto_mask, weakly_dominated
 
 MAX_EXHAUSTIVE_N = 13
 BLOCK_ROWS = 8192
@@ -144,8 +146,10 @@ def brute_force_frontier(joint: JointPMF) -> ParetoSet:
     Each block's rows follow the frontier's, which come earlier in lex
     order, and pareto_mask keeps the first of exact duplicates, so the
     points and their representatives are those of offering every
-    partition to a ParetoSet in lex order. The frontier so far holds no
-    two points with equal x, so keeping it in ascending x changes nothing.
+    partition to a ParetoSet in lex order; a block row the frontier so far
+    weakly dominates would fall to it, so it is dropped first. The
+    frontier so far holds no two points with equal x, so keeping it in
+    ascending x changes nothing.
     """
     n = joint.nx
     if n > MAX_EXHAUSTIVE_N:
@@ -155,8 +159,9 @@ def brute_force_frontier(joint: JointPMF) -> ParetoSet:
     labels = np.empty((0, n), dtype=np.uint8)
     for prefixes, src, block in _rgs_groups(n):
         bx, by = _block_objectives(prefixes, src, block, joint.p, hy)
-        xs, ys = np.concatenate((xs, bx)), np.concatenate((ys, by))
-        labels = np.concatenate((labels, block))
+        live = ~weakly_dominated(xs, ys, bx, by)
+        xs, ys = np.concatenate((xs, bx[live])), np.concatenate((ys, by[live]))
+        labels = np.concatenate((labels, block[live]))
         keep = np.flatnonzero(pareto_mask(np.column_stack((xs, ys))))
         # ascending x, so the next pareto_mask sorts mostly sorted rows
         keep = keep[np.argsort(xs[keep], kind="stable")]

@@ -9,8 +9,8 @@ insertion evicts a contiguous run of newly dominated points.
 Dominance is weak with strict rejection of exact duplicates: a point equal
 to a stored point in both coordinates is not optimal, so one representative
 per objective pair is kept (first arrival wins). pareto_mask filters a
-whole batch of points by the same rule, and ParetoSet.dominated answers
-is_optimal for a whole batch of probes at once.
+whole batch of points by the same rule, and weakly_dominated answers
+is_optimal for a batch of probes, for ParetoSet.dominated and the oracle.
 """
 
 from __future__ import annotations
@@ -81,9 +81,7 @@ class ParetoSet:
         It searches the stored coordinate lists, which numpy copies once per
         call, so every answer reflects the set as it is at that call.
         """
-        i = np.searchsorted(self._xs, xs, side="left")
-        # a -inf sentinel keeps i in range where no point lies right of x
-        return (i < len(self._xs)) & (np.append(self._ys, -math.inf)[i] >= ys)
+        return weakly_dominated(self._xs, self._ys, xs, ys)
 
     def add(self, p: ParetoPoint) -> bool:
         """Insert p if optimal, evicting the points it weakly dominates.
@@ -132,6 +130,15 @@ class ParetoSet:
                 d = min(d, self._xs[k] - x)
                 break
         return d
+
+
+def weakly_dominated(fx, fy, xs, ys) -> np.ndarray:
+    """Mask of the probes (xs, ys) that a point of the frontier (fx, fy),
+    fx ascending and fy descending strictly, is >= in both coordinates:
+    of the points with x' >= x the first has the largest y."""
+    i = np.searchsorted(fx, xs, side="left")
+    # a -inf sentinel keeps i in range where no point lies right of x
+    return (i < len(fx)) & (np.append(fy, -math.inf)[i] >= ys)
 
 
 def pareto_mask(points) -> np.ndarray:

@@ -378,6 +378,13 @@ class TestExitCodes:
         assert rc == 1
         assert "seed must be a non-negative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["dib", "independent"])
+    def test_negative_scaling_seed_is_exit_one(self, capsys, kind):
+        rc = main(["scaling", "--kind", kind, "--n-values", "3,4", "--trials", "10",
+                   "--seed", "-1", "--ny", "2"])
+        assert rc == 1
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+
     def test_no_dedup_flag_is_gone(self, diag2):
         with pytest.raises(SystemExit) as exc:
             main(["map", "--pmf", str(diag2), "--epsilon", "0", "--seed", "1",

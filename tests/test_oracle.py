@@ -161,6 +161,30 @@ class TestBruteForceFrontier:
         assert got == [(p.x, p.y, p.encoder) for p in full]
 
 
+class TestMergePrefilter:
+    """Block rows the frontier so far weakly dominates are dropped before
+    each merge; with small blocks that happens at many block boundaries."""
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_exact_ties_keep_the_lex_first_representative(self, monkeypatch, n):
+        # rows drawn from two, so many partitions tie exactly in (x, y)
+        p = sample_simplex(2, 3, n).p[[k % 2 for k in range(n)]]
+        joint = JointPMF(p / p.sum())
+        monkeypatch.setattr(dm.oracle, "BLOCK_ROWS", 16)
+        # one block per prefix of n - 2 labels
+        assert len(list(_rgs_groups(n))) == bell_number(n - 2)
+        hy = float(-xlog2x(joint.marginal_y()).sum())
+        encoders = list(enumerate_partitions(n))
+        labels = np.array([e.assignment for e in encoders], dtype=np.uint8)
+        xs, ys = _objectives(_push(labels, joint.p, n), hy)
+        offered = ParetoSet()
+        for e, x, y in zip(encoders, xs.tolist(), ys.tolist()):
+            offered.add(ParetoPoint(x, y, encoder=e))
+        got = [(p.x, p.y, p.encoder) for p in brute_force_frontier(joint)]
+        assert got == [(p.x, p.y, p.encoder) for p in offered]
+        assert len(got) < bell_number(n)
+
+
 class TestPrefixKernel:
     @settings(max_examples=60, deadline=None)
     @given(

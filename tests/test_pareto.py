@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dibmap import ParetoPoint, ParetoSet
 from dibmap.distributions import INFO_TOL
+from dibmap.pareto import weakly_dominated
 
 
 def make_set(pairs):
@@ -217,6 +218,26 @@ class TestDominated:
         rng = np.random.default_rng(7)
         probes = [tuple(v) for v in rng.uniform(-1.5, 1.5, size=(400, 2))]
         self.check(ps, probes, r)
+
+
+class TestWeaklyDominated:
+    """The module-level query that ParetoSet.dominated and the oracle's
+    merge share, on plain arrays."""
+
+    fx, fy = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+
+    def test_empty_frontier_dominates_nothing(self):
+        mask = weakly_dominated(np.empty(0), np.empty(0), self.fx, self.fy)
+        assert mask.tolist() == [False, False]
+
+    def test_exact_duplicate_is_dominated(self):
+        mask = weakly_dominated(self.fx, self.fy, self.fx, self.fy)
+        assert mask.tolist() == [True, True]
+
+    def test_equal_x_with_lower_y_is_dominated(self):
+        probes = np.array([1.0, 1.0, 1.0]), np.array([-0.5, 0.0, 0.5])
+        mask = weakly_dominated(self.fx, self.fy, *probes)
+        assert mask.tolist() == [True, True, False]
 
 
 class TestMonotoneInvariance:

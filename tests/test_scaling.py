@@ -4,7 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import dibmap.scaling
 from dibmap import (
     CopulaKind,
     dib_frontier_scaling,
@@ -20,6 +24,7 @@ from dibmap.scaling import (
     CLOUD_BLOCK_POINTS,
     _batch_sizes,
     _draw_clouds,
+    _maxima_counts,
     fit_power_law,
 )
 
@@ -130,6 +135,76 @@ class TestSubBlocks:
         assert peak < 32 * 2**20
 
 
+def sub_blocks(draw_law):
+    """(u, v), each (s, n): s clouds of n points, each coordinate on a
+    coarse grid (so ties in u and duplicate points are common) or anywhere
+    in [-3, 3]; draw_law may then tie v to u."""
+    return st.tuples(st.integers(1, 4), st.integers(1, 10)).flatmap(
+        lambda shape: hnp.arrays(
+            float, (2, *shape),
+            elements=st.sampled_from([-1.5, -0.25, 0.0, 0.5, 2.0])
+            | st.floats(-3, 3),
+        )
+    ).map(draw_law)
+
+
+def odd_rows(a):
+    return np.arange(len(a))[:, None] % 2 == 1
+
+
+# v as drawn, v = u (one maximum: packed scan), v = -u (every point
+# maximal: whole scan), or those two alternating across the clouds
+LAWS = {
+    "free": lambda uv: (uv[0], uv[1]),
+    "comonotone": lambda uv: (uv[0], uv[0]),
+    "countermonotone": lambda uv: (uv[0], -uv[0]),
+    "mixed": lambda uv: (uv[0], np.where(odd_rows(uv[0]), -uv[0], uv[0])),
+}
+
+
+class TestMaximaCounts:
+    """The batch scan against pareto_size, cloud by cloud."""
+
+    @pytest.mark.parametrize("law", LAWS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_pareto_size(self, law, data):
+        u, v = data.draw(sub_blocks(LAWS[law]))
+        want = [pareto_size(np.column_stack(cloud)) for cloud in zip(u, v)]
+        assert _maxima_counts(u, v).tolist() == want
+
+    @pytest.mark.parametrize(
+        "u, v, want",
+        [
+            ([0.5, 0.5, 0.2], [0.1, 0.9, 0.3], 1),  # a tie in u, lower v first
+            ([0.5, 0.5, 0.5], [0.2, 0.2, 0.2], 1),  # one point three times
+            ([0.3], [-2.0], 1),
+            ([-1.0, -2.0, -1.0], [-1.0, 3.0, -1.0], 2),
+        ],
+    )
+    def test_ties_and_duplicates(self, u, v, want):
+        assert _maxima_counts(np.array([u]), np.array([v])).tolist() == [want]
+
+    def test_packing_rule(self, monkeypatch):
+        """Scanned widths: the survivors of the pivot when no cloud keeps
+        more than half its points, else the whole sub-block."""
+        widths = []
+        records = dibmap.scaling._records
+
+        def spy(u, v):
+            widths.append(u.shape[1])
+            return records(u, v)
+
+        monkeypatch.setattr(dibmap.scaling, "_records", spy)
+        u = np.random.default_rng(0).random((4, 40))
+        assert _maxima_counts(u, u).tolist() == [1] * 4
+        assert _maxima_counts(u, 1 - u).tolist() == [40] * 4
+        # the first cloud keeps one point, the second all 40
+        mixed = np.stack([u[0], 1 - u[1]])
+        assert _maxima_counts(u[:2], mixed).tolist() == [1, 40]
+        assert widths == [1, 40, 40]
+
+
 class TestEmptyPointSets:
     @pytest.mark.parametrize("points", [np.empty((0, 2)), []])
     def test_masks_are_empty_and_size_is_zero(self, points):
@@ -198,6 +273,11 @@ class TestScalingExperiment:
         with pytest.raises(ValueError, match="trials must be an integer"):
             scaling_experiment(INDEP, [16], trials, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_rejects_bad_seeds(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            scaling_experiment(INDEP, [16], 10, seed=seed)
+
     def test_accepts_numpy_integers(self):
         rows = scaling_experiment(INDEP, [np.int64(16)], np.int32(10), seed=0)
         assert rows == scaling_experiment(INDEP, [16], 10, seed=0)
@@ -255,6 +335,11 @@ class TestDibFrontierScaling:
     def test_rejects_bad_counts(self, n_values, trials, match):
         with pytest.raises(ValueError, match=match):
             dib_frontier_scaling(n_values, trials, 0, ny=3)
+
+    @pytest.mark.parametrize("engine", ["oracle", "greedy"])
+    def test_rejects_a_negative_seed(self, engine):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            dib_frontier_scaling([3, 4], 1, -1, ny=2, engine=engine)
 
     def test_generic_two_symbol_frontier_has_two_points(self):
         rows = dib_frontier_scaling([2], 10, seed=4, ny=6, engine="oracle")
