@@ -8,17 +8,23 @@ most BLOCK_ROWS rows, for every n: all positions but the last two are
 expanded at once, the last two per group of prefixes (Knuth, TAOCP 4A,
 7.2.1.5).
 
-Each block is evaluated from its prefixes. A group's prefixes are pushed
-forward once, padded to n clusters, with their xlog2x terms and cluster
-masses; each string gathers its prefix's and rebuilds only the one or
-two clusters its last positions land in. Every cell receives the same
-additions in the same order as a full push, and the reductions run over
-arrays of the same shape, so the objectives equal the search's batched
-plain kernel bit for bit. Each block is then merged with the frontier so
-far, held as arrays, by one pareto_mask, and the final frontier's
-encoders are checked canonical as one array. Block rows the frontier so
-far weakly dominates, nearly all on a random joint, are dropped before
-the merge by one binary search.
+Each block is evaluated from its prefixes, in two stages. A group's
+prefixes are pushed forward once, padded to n clusters, with their xlog2x
+terms, row sums and mass terms; each later position rebuilds the one
+cluster it lands in once per string of its level, so position n - 2's
+once per (n - 1)-label prefix. The screen updates the prefix's totals by
+the replaced and the rebuilt clusters, O(ny) per string, and drops every
+row whose corner (x + delta, y + delta) the frontier so far weakly
+dominates: nearly all rows of a random joint. It sums the same floats as
+the exact stage in another order, and delta is a summation error bound
+(_screen_slack), so each dropped row is dominated exactly too. The rows
+left gather their prefix's terms and scatter their rebuilt clusters'.
+Every cell receives the same additions in the same order as a full push,
+and the reductions run over arrays of the same shape, so these objectives
+equal the search's batched plain kernel bit for bit. Rows the frontier so
+far weakly dominates are dropped by one binary search, the rest merged
+with it, held as arrays, by one pareto_mask, and the final frontier's
+encoders are checked canonical as one array.
 """
 
 from __future__ import annotations
@@ -66,16 +72,18 @@ def _extend(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     src = np.repeat(np.arange(len(block)), choices)
     first = np.cumsum(choices) - choices
     out = np.empty((len(src), block.shape[1] + 1), dtype=np.uint8)
-    out[:, :-1] = block[src]
+    out[:, :-1] = np.take(block, src, axis=0)
     out[:, -1] = np.arange(len(src)) - first[src]
     return out, src
 
 
-def _rgs_groups(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _rgs_groups(n: int) -> Iterator[tuple[list[np.ndarray], list[np.ndarray]]]:
     """Every RGS of length n, in lex order, as blocks of at most BLOCK_ROWS.
 
-    Yields (prefixes, src, block): the block's strings are the completions
-    of a group of prefixes, and block[r] starts with prefixes[src[r]].
+    Yields (levels, srcs): levels[0] is a group of prefixes, each later
+    level every string one longer than a string of the level before, and
+    levels[-1] the block; levels[j + 1][r] extends levels[j][srcs[j][r]].
+    For n >= 3 the levels hold n - 2, n - 1 and n labels.
     """
     head = np.zeros((1, 1), dtype=np.uint8)
     while head.shape[1] < n - 2:
@@ -83,50 +91,111 @@ def _rgs_groups(n: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     # two more positions give a prefix of m <= n - 2 clusters m*m + 2m + 2 strings
     step = max(1, BLOCK_ROWS // ((n - 1) ** 2 + 1))
     for start in range(0, len(head), step):
-        prefixes = block = head[start : start + step]
-        src = np.arange(len(prefixes))
+        levels, srcs = [head[start : start + step]], []
         for _ in range(n - head.shape[1]):
-            block, rows = _extend(block)
-            src = src[rows]
-        yield prefixes, src, block
+            level, src = _extend(levels[-1])
+            levels.append(level)
+            srcs.append(src)
+        yield levels, srcs
 
 
 def _rgs_blocks(n: int) -> Iterator[np.ndarray]:
     """Every RGS of length n, in lex order, as blocks of at most BLOCK_ROWS."""
-    for _, _, block in _rgs_groups(n):
-        yield block
+    for levels, _ in _rgs_groups(n):
+        yield levels[-1]
 
 
-def _block_objectives(prefixes, src, block, p: np.ndarray, hy: float):
-    """mapper._objectives(_push(block, p, n), hy), bit for bit, from the
-    block's prefixes (see _rgs_groups).
+def _block_objectives(levels, srcs, p: np.ndarray, hy: float):
+    """Screening values of a group's block (see _rgs_groups), and its
+    objectives on demand.
+
+    Returns (sx, sy, exact): exact(rows) is
+    mapper._objectives(_push(block, p, n), hy)[rows], bit for bit, and
+    sx, sy lie within _screen_slack(n, ny) of every row's x and y.
 
     The prefixes are pushed once, padded to n clusters, with their xlog2x
-    terms and cluster masses. Each string gathers its prefix's, then
-    rebuilds the clusters its tail positions land in: the prefix cell plus
-    those tail rows, added in input order, as _push adds them. Both
-    reductions run over arrays of _objectives' shape and values.
+    terms, row sums and mass terms. Each later position rebuilds, once per
+    string of its level, the cluster it lands in: that cluster's cell so
+    far plus the position's row, as _push adds them. The screen updates
+    the prefix's totals of row sums and mass terms by the replaced and the
+    rebuilt cluster, O(ny) per string. exact gathers the prefix's terms,
+    scatters the rebuilt clusters' and reduces arrays of _objectives'
+    shape and values.
     """
-    k, n = block.shape
-    lead = prefixes.shape[1]
-    pre = _push(prefixes, p[:lead], n)
-    terms = xlog2x(pre)[src]
-    marg = pre.sum(axis=2)[src]
-    strings = np.arange(k)
-    cells = []
-    for i in range(lead, n):
-        c = block[:, i]
-        cell = pre[src, c]
-        # a cluster an earlier tail row landed in continues from that cell
-        for j, earlier in enumerate(cells, lead):
-            cell = np.where((block[:, j] == c)[:, None], earlier, cell)
+    n = levels[-1].shape[1]
+    lead = levels[0].shape[1]
+    ny = p.shape[1]
+    # one row per prefix cluster; the screen's row sums may add in any order
+    pre = _push(levels[0], p[:lead], n).reshape(-1, ny)
+    pre_terms = xlog2x(pre)
+    pre_rows, pre_mass = pre_terms @ np.ones(ny), xlog2x(pre.sum(axis=1))
+    row_tot = pre_rows.reshape(-1, n).sum(axis=1)
+    mass_tot = pre_mass.reshape(-1, n).sum(axis=1)
+    owner = np.arange(len(levels[0]))
+    # per tail position: each string's row in that position's level, then
+    # the level's labels there and its rebuilt cells, terms, row sums, masses
+    tails = []
+    for i, src in enumerate(srcs, lead):
+        owner, row_tot, mass_tot = owner[src], row_tot[src], mass_tot[src]
+        for tail in tails:
+            tail[0] = tail[0][src]
+        c = levels[i - lead + 1][:, i]
+        j = owner * n + c
+        cell = np.take(pre, j, axis=0)
+        rows, mass = np.take(pre_rows, j), np.take(pre_mass, j)
+        # a cluster an earlier tail position rebuilt continues from that cell
+        for at, tc, tcell, _, trows, tmass in tails:
+            same = np.flatnonzero(tc[at] == c)
+            cell[same], rows[same], mass[same] = (
+                tcell[at[same]], trows[at[same]], tmass[at[same]])
         cell += p[i]
-        cells.append(cell)
-        terms[strings, c] = xlog2x(cell)
-        marg[strings, c] = cell.sum(axis=1)
-    hz = np.maximum(-xlog2x(marg).sum(axis=1), 0.0)
-    hzy = -terms.reshape(k, -1).sum(axis=1)
-    return -hz, np.maximum(hz + hy - hzy, 0.0)
+        terms = xlog2x(cell)
+        new_rows, new_mass = terms @ np.ones(ny), xlog2x(cell.sum(axis=1))
+        row_tot = row_tot - rows + new_rows
+        mass_tot = mass_tot - mass + new_mass
+        tails.append([np.arange(len(c)), c, cell, terms, new_rows, new_mass])
+    hz, hzy = np.maximum(-mass_tot, 0.0), -row_tot
+    sy = np.maximum(hz + hy - hzy, 0.0)
+    pre_terms, pre_mass = pre_terms.reshape(-1, n, ny), pre_mass.reshape(-1, n)
+
+    def exact(sel: np.ndarray):
+        k, r = len(sel), np.arange(len(sel))
+        terms = np.take(pre_terms, owner[sel], axis=0)
+        mass = np.take(pre_mass, owner[sel], axis=0)
+        for at, c, _, tterms, _, tmass in tails:
+            terms[r, c[at[sel]]] = tterms[at[sel]]
+            mass[r, c[at[sel]]] = tmass[at[sel]]
+        hz = np.maximum(-mass.sum(axis=1), 0.0)
+        hzy = -terms.reshape(k, n * ny).sum(axis=1)
+        return -hz, np.maximum(hz + hy - hzy, 0.0)
+
+    return -hz, sy, exact
+
+
+def _screen_slack(n: int, ny: int) -> float:
+    """A bound on |sx - x| and |sy - y| over the strings of an n x ny joint
+    (see _block_objectives).
+
+    The screen and the exact kernel sum the same floats, xlog2x of the
+    same cells and of the same masses; only the order of the sums differs.
+    Each sum adds at most N = (n + 4) ny terms t: the prefix's n clusters,
+    two replaced clusters subtracted and two rebuilt ones added. Any order
+    of summing N terms errs from their exact sum by at most
+    gamma_N sum |t|, gamma_N = N u / (1 - N u), u = 2^-53 (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., section 4.2). Those
+    terms come in at most five groups, each of m <= n ny cells or masses
+    of total mass s <= 1, and sum -q log2 q <= s log2(m / s) <= log2 m + 1
+    (Jensen), so sum |t| <= A = 5 (log2(n ny) + 1) for every sum. Screen
+    and exact share the exact sums, and max(., 0) is 1-Lipschitz, so
+    |sx - x| <= 2 gamma_N A. y adds two roundings per side, of values at
+    most A: |sy - y| <= 4 gamma_N A + 4 u A. As N >= 5, gamma_N >= 5 u, so
+    6 gamma_N A also covers the float terms' own rounding and that of the
+    corner sx + delta.
+    """
+    terms = (n + 4) * ny
+    u = 2.0**-53
+    gamma = terms * u / (1 - terms * u)
+    return 6 * gamma * 5 * (math.log2(n * ny) + 1)
 
 
 def enumerate_partitions(n: int) -> Iterator[Encoder]:
@@ -136,8 +205,7 @@ def enumerate_partitions(n: int) -> Iterator[Encoder]:
     if n > MAX_EXHAUSTIVE_N:
         raise CapacityError(f"n = {n} exceeds the exhaustive cap {MAX_EXHAUSTIVE_N}")
     for block in _rgs_blocks(n):
-        for labels in block.tolist():
-            yield Encoder(tuple(labels))
+        yield from _encoders(block)
 
 
 def brute_force_frontier(joint: JointPMF) -> ParetoSet:
@@ -147,7 +215,10 @@ def brute_force_frontier(joint: JointPMF) -> ParetoSet:
     order, and pareto_mask keeps the first of exact duplicates, so the
     points and their representatives are those of offering every
     partition to a ParetoSet in lex order; a block row the frontier so far
-    weakly dominates would fall to it, so it is dropped first. The
+    weakly dominates would fall to it, so it is dropped first. So is a row
+    whose screening corner (sx + delta, sy + delta) it weakly dominates:
+    delta bounds the screen's error (_screen_slack), so that row's exact
+    (x, y) is dominated too, and only the rest are scored exactly. The
     frontier so far holds no two points with equal x, so keeping it in
     ascending x changes nothing.
     """
@@ -155,13 +226,16 @@ def brute_force_frontier(joint: JointPMF) -> ParetoSet:
     if n > MAX_EXHAUSTIVE_N:
         raise CapacityError(f"nx = {n} exceeds the exhaustive cap {MAX_EXHAUSTIVE_N}")
     hy = float(-xlog2x(joint.marginal_y()).sum())
+    delta = _screen_slack(n, joint.ny)
     xs = ys = np.empty(0)
     labels = np.empty((0, n), dtype=np.uint8)
-    for prefixes, src, block in _rgs_groups(n):
-        bx, by = _block_objectives(prefixes, src, block, joint.p, hy)
+    for levels, srcs in _rgs_groups(n):
+        sx, sy, exact = _block_objectives(levels, srcs, joint.p, hy)
+        rows = np.flatnonzero(~weakly_dominated(xs, ys, sx + delta, sy + delta))
+        bx, by = exact(rows)
         live = ~weakly_dominated(xs, ys, bx, by)
         xs, ys = np.concatenate((xs, bx[live])), np.concatenate((ys, by[live]))
-        labels = np.concatenate((labels, block[live]))
+        labels = np.concatenate((labels, levels[-1][rows[live]]))
         keep = np.flatnonzero(pareto_mask(np.column_stack((xs, ys))))
         # ascending x, so the next pareto_mask sorts mostly sorted rows
         keep = keep[np.argsort(xs[keep], kind="stable")]

@@ -30,6 +30,7 @@ from dibmap.oracle import (
     _encoders,
     _rgs_blocks,
     _rgs_groups,
+    _screen_slack,
 )
 
 
@@ -85,9 +86,9 @@ class TestEnumeration:
             assert bell_number(n + 1) == rhs
 
 
-def diagonal_joint():
-    """Nine symbols with Y = X: every partition is on the frontier."""
-    w = np.random.default_rng(9).random(9)
+def diagonal_joint(n: int = 9, seed: int = 9) -> JointPMF:
+    """n symbols with Y = X: every partition is on the frontier."""
+    w = np.random.default_rng(seed).random(n)
     return JointPMF(np.diag(w / w.sum()))
 
 
@@ -165,6 +166,18 @@ class TestMergePrefilter:
     """Block rows the frontier so far weakly dominates are dropped before
     each merge; with small blocks that happens at many block boundaries."""
 
+    @staticmethod
+    def offer_every_partition(joint):
+        """(x, y, encoder) of every partition offered to a ParetoSet in lex order."""
+        hy = float(-xlog2x(joint.marginal_y()).sum())
+        encoders = list(enumerate_partitions(joint.nx))
+        labels = np.array([e.assignment for e in encoders], dtype=np.uint8)
+        xs, ys = _objectives(_push(labels, joint.p, joint.nx), hy)
+        offered = ParetoSet()
+        for e, x, y in zip(encoders, xs.tolist(), ys.tolist()):
+            offered.add(ParetoPoint(x, y, encoder=e))
+        return [(p.x, p.y, p.encoder) for p in offered]
+
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_exact_ties_keep_the_lex_first_representative(self, monkeypatch, n):
         # rows drawn from two, so many partitions tie exactly in (x, y)
@@ -173,40 +186,103 @@ class TestMergePrefilter:
         monkeypatch.setattr(dm.oracle, "BLOCK_ROWS", 16)
         # one block per prefix of n - 2 labels
         assert len(list(_rgs_groups(n))) == bell_number(n - 2)
-        hy = float(-xlog2x(joint.marginal_y()).sum())
-        encoders = list(enumerate_partitions(n))
-        labels = np.array([e.assignment for e in encoders], dtype=np.uint8)
-        xs, ys = _objectives(_push(labels, joint.p, n), hy)
-        offered = ParetoSet()
-        for e, x, y in zip(encoders, xs.tolist(), ys.tolist()):
-            offered.add(ParetoPoint(x, y, encoder=e))
         got = [(p.x, p.y, p.encoder) for p in brute_force_frontier(joint)]
-        assert got == [(p.x, p.y, p.encoder) for p in offered]
+        assert got == self.offer_every_partition(joint)
         assert len(got) < bell_number(n)
+
+    @pytest.mark.parametrize(
+        "make_joint",
+        [lambda: sample_simplex(8, 1, 4), lambda: diagonal_joint(7, 2)],
+        ids=["8x1", "diag7"],
+    )
+    def test_matches_offering_every_partition(self, monkeypatch, make_joint):
+        # ny = 1 leaves I in float noise around 0 and the diagonal joint
+        # puts every partition on the frontier: the screen keeps every row
+        joint = make_joint()
+        monkeypatch.setattr(dm.oracle, "BLOCK_ROWS", 16)
+        got = [(p.x, p.y, p.encoder) for p in brute_force_frontier(joint)]
+        assert got == self.offer_every_partition(joint)
+
+
+def kernel_joint(n, ny, kind, seed) -> np.ndarray:
+    """An n x ny joint of one of the kernel tests' kinds."""
+    rng = np.random.default_rng(seed)
+    p = np.diag(rng.random(n)) if kind == "diagonal" else rng.random((n, ny))
+    if kind == "zero-rows":
+        p[1:][rng.random(n - 1) < 0.5] = 0.0
+    if kind == "repeated-rows":
+        p = p[rng.integers(0, max(1, n // 3), n)]
+    return p / p.sum()
+
+
+KINDS = ["simplex", "zero-rows", "repeated-rows", "diagonal"]
 
 
 class TestPrefixKernel:
+    @staticmethod
+    def check_groups(n, p, rng):
+        hy = float(-xlog2x(p.sum(axis=0)).sum())
+        for levels, srcs in _rgs_groups(n):
+            # each level extends the one before; the last holds n labels
+            assert len(levels) == len(srcs) + 1 == min(n, 3)
+            assert levels[-1].shape[1] == n
+            for level, src, longer in zip(levels, srcs, levels[1:]):
+                np.testing.assert_array_equal(longer[:, :-1], level[src])
+            block = levels[-1]
+            _, _, exact = _block_objectives(levels, srcs, p, hy)
+            want = _objectives(_push(block, p, n), hy)
+            got = exact(np.arange(len(block)))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            rows = rng.choice(len(block), rng.integers(0, len(block) + 1))
+            got = exact(rows)
+            assert all(np.array_equal(g, w[rows]) for g, w in zip(got, want))
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 9),
         ny=st.sampled_from([1, 2, 5, 30]),
-        kind=st.sampled_from(["simplex", "zero-rows", "repeated-rows", "diagonal"]),
+        kind=st.sampled_from(KINDS),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_full_push_bit_for_bit(self, n, ny, kind, seed):
-        rng = np.random.default_rng(seed)
-        p = np.diag(rng.random(n)) if kind == "diagonal" else rng.random((n, ny))
-        if kind == "zero-rows":
-            p[1:][rng.random(n - 1) < 0.5] = 0.0
-        if kind == "repeated-rows":
-            p = p[rng.integers(0, max(1, n // 3), n)]
-        p /= p.sum()
+        self.check_groups(n, kernel_joint(n, ny, kind, seed), np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_to_three_symbols(self, n, kind):
+        # the prefix holds one label: n = 1 and 2 have no or one position
+        # after it, n = 3 the usual two
+        for seed in range(3):
+            p = kernel_joint(n, 5, kind, seed)
+            self.check_groups(n, p, np.random.default_rng(seed))
+
+
+class TestScreen:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        ny=st.sampled_from([1, 2, 5, 30]),
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_screen_is_within_slack_and_drops_only_dominated_rows(self, n, ny, kind, seed):
+        p = kernel_joint(n, ny, kind, seed)
         hy = float(-xlog2x(p.sum(axis=0)).sum())
-        for prefixes, src, block in _rgs_groups(n):
-            np.testing.assert_array_equal(block[:, : prefixes.shape[1]], prefixes[src])
-            got = _block_objectives(prefixes, src, block, p, hy)
-            want = _objectives(_push(block, p, n), hy)
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        delta = _screen_slack(n, p.shape[1])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dm.oracle, "BLOCK_ROWS", 16)
+            groups = list(_rgs_groups(n))
+        so_far = ParetoSet()
+        for levels, srcs in groups:
+            sx, sy, exact = _block_objectives(levels, srcs, p, hy)
+            x, y = exact(np.arange(len(sx)))
+            assert np.all(np.abs(sx - x) <= delta) and np.all(np.abs(sy - y) <= delta)
+            rows = zip((sx + delta).tolist(), (sy + delta).tolist(), x.tolist(), y.tolist())
+            for cx, cy, xi, yi in rows:
+                # a row the frontier so far drops by its corner, it drops exactly
+                assert so_far.is_optimal(cx, cy) or not so_far.is_optimal(xi, yi)
+            for xi, yi in zip(x.tolist(), y.tolist()):
+                so_far.add(ParetoPoint(xi, yi))
 
 
 class TestEncoders:
