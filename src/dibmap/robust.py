@@ -7,16 +7,17 @@ statistically distinguishable - in at least one coordinate - from every
 point already kept, visiting points in ascending order of uncertainty so
 low-variance points win ties.
 
-The bootstrap runs one task per frontier point on a thread pool with one
-worker per CPU the process may run on; numpy releases the GIL while it
-draws and reduces. Each point seeds its own generator from its frontier
-index, so the output is the same on any host.
+The bootstrap resamples the sample once per replicate and reduces every
+frontier encoder against the same replicates, as the standard
+nonparametric bootstrap recomputes every statistic on each resample. Each
+point's spread has the distribution it would have with replicates of its
+own; only the correlation between points' spreads differs. The output
+depends only on the seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,13 @@ from .encoders import Encoder
 from .errors import DimensionMismatchError
 from .mapper import SearchConfig, SearchStats, _objectives, _push, pareto_mapper
 from .pareto import ParetoPoint, ParetoSet
+
+
+def _check_reps(reps, name: str) -> None:
+    if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer")
+    if reps < 2:
+        raise ValueError(f"{name} must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -44,11 +52,7 @@ class RobustConfig:
 
     def __post_init__(self):
         check_seed(self.seed)
-        reps = self.bootstrap_reps
-        if isinstance(reps, bool) or not isinstance(reps, (int, np.integer)):
-            raise ValueError("bootstrap_reps must be an integer")
-        if reps < 2:
-            raise ValueError("bootstrap_reps must be at least 2")
+        _check_reps(self.bootstrap_reps, "bootstrap_reps")
         if not 0 < self.z < math.inf:  # also rejects NaN
             raise ValueError("z must be positive and finite")
 
@@ -62,17 +66,26 @@ def bootstrap_uncertainty(
     empirical PMF, pushes each through f, and returns the sample standard
     deviations of the two objectives across replicates.
     """
-    if reps < 2:
-        raise ValueError("reps must be at least 2")
+    _check_reps(reps, "reps")
+    check_seed(seed)
     if f.n != counts.nx:
         raise DimensionMismatchError(
             f"encoder domain {f.n} != count matrix row count {counts.nx}"
         )
+    return _spread(_replicates(counts, reps, seed), f)
+
+
+def _replicates(counts: EmpiricalCounts, reps: int, seed: int) -> np.ndarray:
+    """`reps` multinomial resamples of the sample, as (reps, nx, ny) PMFs."""
     rng = np.random.default_rng(seed)
     p_flat = (counts.n / counts.total).ravel()
     draws = rng.multinomial(counts.total, p_flat, size=reps)
-    arr = draws.reshape(reps, counts.nx, counts.ny) / counts.total
-    labels = np.broadcast_to(np.asarray(f.assignment), (reps, f.n))
+    return draws.reshape(reps, counts.nx, counts.ny) / counts.total
+
+
+def _spread(arr: np.ndarray, f: Encoder) -> tuple[float, float]:
+    """Sample standard deviations of f's objectives over the replicates."""
+    labels = np.broadcast_to(np.asarray(f.assignment), (len(arr), f.n))
     pushed = _push(labels, arr, f.m)
     xs, ys = _objectives(pushed, -xlog2x(pushed.sum(axis=1)).sum(axis=1))
     return float(np.std(xs, ddof=1)), float(np.std(ys, ddof=1))
@@ -99,13 +112,6 @@ def significance_filter(frontier: ParetoSet, z: float) -> ParetoSet:
     return kept
 
 
-def _cpus_available() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has sched_getaffinity
-        return os.cpu_count() or 1
-
-
 def robust_pareto_mapper(
     counts: EmpiricalCounts, cfg: RobustConfig
 ) -> tuple[ParetoSet, ParetoSet, SearchStats]:
@@ -115,23 +121,15 @@ def robust_pareto_mapper(
     frontier, the full discovered frontier with (dx, dy) attached to every
     point, and the search counters. Deterministic per config.
 
-    The bootstrap runs one task per frontier point on a thread pool with
-    one worker per CPU available; point i is seeded with
-    `derive_seed(seed, i)`, so the output is the same on any host.
+    The `bootstrap_reps` resamples are drawn once, from
+    `derive_seed(seed, 0)`, and shared by every point. Each point's
+    (dx, dy) has the distribution `bootstrap_uncertainty` gives it, and
+    point 0's equals `bootstrap_uncertainty` at that seed; the spreads
+    depend only on the seed.
     """
-    # Imported here: at module level it would add `logging` to `import dibmap`.
-    from concurrent.futures import ThreadPoolExecutor
-
     joint = normalize_counts(counts)
     frontier, stats = pareto_mapper(joint, SearchConfig(cfg.epsilon, cfg.seed))
-
-    def spread(i):
-        return bootstrap_uncertainty(
-            counts, frontier[i].encoder, cfg.bootstrap_reps, derive_seed(cfg.seed, i)
-        )
-
-    with ThreadPoolExecutor(max_workers=_cpus_available()) as pool:
-        spreads = pool.map(spread, range(len(frontier)))
-        for p, (dx, dy) in zip(frontier, spreads):
-            p.dx, p.dy = dx, dy
+    arr = _replicates(counts, cfg.bootstrap_reps, derive_seed(cfg.seed, 0))
+    for p in frontier:
+        p.dx, p.dy = _spread(arr, p.encoder)
     return significance_filter(frontier, cfg.z), frontier, stats

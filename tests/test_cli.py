@@ -246,7 +246,7 @@ class TestGoldenOutputs:
         [
             (["robust-map", "--counts", "counts.csv", "--epsilon", "0.05",
               "--seed", "4", "--bootstrap-reps", "10"],
-             "50462fbfda881f4b36e14d863b42eda46cf30442dec2997f318aa04a55646855"),
+             "ea931077a51c872298aa59635a9ee8c9c78f059ef60244d295770a72a5dd3975"),
             (["oracle", "--pmf", "joint.csv", "--candidate", "candidate.json"],
              "d7d90d31a5dd1a1493b80d3416e774661b062f4ae440445f9fdf9264cd583780"),
             (["map", "--pmf", "joint.csv", "--epsilon", "0.05", "--seed", "2",

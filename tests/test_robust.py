@@ -1,9 +1,7 @@
 import math
-import os
 import pathlib
 import subprocess
 import sys
-import threading
 
 import numpy as np
 import pytest
@@ -63,6 +61,22 @@ class TestBootstrapUncertainty:
         counts = EmpiricalCounts(np.array([[3, 1]]))
         with pytest.raises(ValueError):
             bootstrap_uncertainty(counts, Encoder((0,)), 1, 0)
+
+    @pytest.mark.parametrize(
+        "reps, seed",
+        [(3, True), (3, -1), (3, 1.5), (3, "3"), (3, None),
+         (3.0, 0), (True, 0), ("3", 0), (None, 0)],
+        ids=["seed-bool", "seed-negative", "seed-float", "seed-str", "seed-none",
+             "reps-float", "reps-bool", "reps-str", "reps-none"],
+    )
+    def test_bad_reps_or_seed_rejected_before_drawing(self, monkeypatch, reps, seed):
+        def no_draw(*args):
+            raise AssertionError("drew replicates for a bad input")
+
+        monkeypatch.setattr(dibmap.robust, "_replicates", no_draw)
+        counts = EmpiricalCounts(np.array([[3, 1], [2, 2]]))
+        with pytest.raises(ValueError, match="reps|seed"):
+            bootstrap_uncertainty(counts, Encoder((0, 1)), reps, seed)
 
     def test_more_than_256_clusters(self):
         counts = EmpiricalCounts(np.ones((300, 2), int))
@@ -213,63 +227,23 @@ class TestRobustParetoMapper:
             RobustConfig(0.1, 0, z=z)
 
 
-def within(seconds, fn):
-    """Run fn in a thread; fail if it has not finished after `seconds`."""
-    outcome = []
-
-    def body():
-        try:
-            outcome.append((True, fn()))
-        except BaseException as exc:  # handed back to the test thread below
-            outcome.append((False, exc))
-
-    t = threading.Thread(target=body, daemon=True)
-    t.start()
-    t.join(seconds)
-    assert not t.is_alive(), f"did not finish within {seconds} s"
-    ok, value = outcome[0]
-    if not ok:
-        raise value
-    return value
-
-
 class TestBootstrapPool:
-    """The per-point bootstrap runs on a thread pool; its results must not
-    depend on it."""
+    """One pool of bootstrap replicates serves every frontier point."""
 
-    COUNTS = multinomial_sample(sample_simplex(8, 4, 2), 400, 3)
-    CFG = RobustConfig(0.0, seed=7, bootstrap_reps=20)
-
-    def check_matches_serial_loop(self):
-        _, full, _ = within(60, lambda: robust_pareto_mapper(self.COUNTS, self.CFG))
-        assert len(full) > max(8, dibmap.robust._cpus_available())
-        serial = [
-            bootstrap_uncertainty(
-                self.COUNTS, p.encoder, self.CFG.bootstrap_reps,
-                derive_seed(self.CFG.seed, i),
-            )
-            for i, p in enumerate(full)
+    def test_every_point_reduced_against_point_zero_replicates(self):
+        counts = multinomial_sample(sample_simplex(8, 4, 2), 400, 3)
+        cfg = RobustConfig(0.0, seed=7, bootstrap_reps=20)
+        _, full, _ = robust_pareto_mapper(counts, cfg)
+        assert len(full) > 8
+        shared = derive_seed(cfg.seed, 0)
+        assert [(p.dx, p.dy) for p in full] == [
+            bootstrap_uncertainty(counts, p.encoder, cfg.bootstrap_reps, shared)
+            for p in full
         ]
-        assert [(p.dx, p.dy) for p in full] == serial
-
-    def test_matches_serial_loop_in_frontier_order(self):
-        self.check_matches_serial_loop()
-
-    def test_more_workers_than_cores(self, monkeypatch):
-        monkeypatch.setattr(
-            os, "sched_getaffinity", lambda pid: set(range(8)), raising=False
-        )
-        assert dibmap.robust._cpus_available() == 8
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            self.check_matches_serial_loop()
-        finally:
-            sys.setswitchinterval(interval)
 
     def test_import_loads_no_executor(self):
-        # the pool imports its executor lazily: concurrent.futures pulls in
-        # logging, and both would add to every command's start-up time
+        # concurrent.futures pulls in logging, and both would add to every
+        # command's start-up time
         code = (
             "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules)\n"
             "import dibmap\n"
@@ -282,16 +256,3 @@ class TestBootstrapPool:
         )
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == "[]"
-
-    def test_task_exception_propagates(self, monkeypatch):
-        real = dibmap.robust.bootstrap_uncertainty
-        failing_seed = derive_seed(self.CFG.seed, 3)
-
-        def failing(counts, f, reps, seed):
-            if seed == failing_seed:
-                raise RuntimeError("bootstrap failed for point 3")
-            return real(counts, f, reps, seed)
-
-        monkeypatch.setattr(dibmap.robust, "bootstrap_uncertainty", failing)
-        with pytest.raises(RuntimeError, match="point 3"):
-            within(60, lambda: robust_pareto_mapper(self.COUNTS, self.CFG))
