@@ -1,6 +1,8 @@
-"""Internal helpers: deterministic seed derivation and least-squares fits."""
+"""Internal helpers: seed derivation, integer checks and least-squares fits."""
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -22,6 +24,20 @@ def check_seed(seed) -> None:
     """
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def as_integer(name: str, value) -> int:
+    """value as an int; ValueError naming `name` unless it is an integer.
+
+    A bool is not one, nor is a float, even an integral one: int() would
+    truncate it silently.
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def least_squares_line(u, v) -> tuple[float, float, float]:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from ._util import as_integer
+
 
 def _canonical(labels: Sequence[int]) -> tuple[int, ...]:
     relabel: dict[int, int] = {}
@@ -32,7 +34,7 @@ class Encoder:
     m: int = field(init=False)
 
     def __post_init__(self):
-        assignment = tuple(int(a) for a in self.assignment)
+        assignment = tuple(as_integer("encoder label", a) for a in self.assignment)
         if not assignment:
             raise ValueError("encoder assignment must be non-empty")
         mx = -1

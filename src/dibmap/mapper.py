@@ -26,8 +26,10 @@ child within INFO_TOL of the frontier is evaluated again from scratch, and
 the offer is decided on that path-independent value: one partition, or
 two with equal objectives, never becomes several frontier points.
 A child's labels are built, through the level's merge table, only where
-they are read: when it is evaluated again, as an Encoder when it enters
-the frontier, and as a row of the next level when it is kept.
+they are read: when it is evaluated again, and as a row of the next level
+when it is kept. A child that enters the frontier enters as a bare
+ParetoPoint, its labels kept as bytes in a table keyed by its (x, y); only
+the points that survive the search get an Encoder, when it ends.
 
 Most children are far inside the dominated region, so each block of
 OFFER_BLOCK children is first tested against a snapshot of the frontier in
@@ -226,17 +228,19 @@ def _onehot(labels: np.ndarray) -> np.ndarray:
 
 
 def _push(labels: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
-    """(K, m, ny) pushed-forward matrices of K label strings.
+    """(..., m, ny) pushed-forward matrices of label strings.
 
-    rows is one (n, ny) joint shared by every string, or K joints as a
-    (K, n, ny) array. Each cluster's rows are summed in input order, the
+    labels (..., n) and joints rows (..., n, ny) broadcast in their leading
+    axes: K strings (K, n) against one (n, ny) joint or K joints (K, n, ny)
+    give (K, m, ny); K strings (K, 1, n) against R joints (R, n, ny) give
+    (K, R, m, ny). Each cluster's rows are summed in input order, the
     arithmetic of push_forward's np.add.at, so the results agree bit for bit.
     """
-    k, n = labels.shape
-    out = np.zeros((k, m, rows.shape[-1]))
-    strings = np.arange(k)
-    for i in range(n):
-        out[strings, labels[:, i]] += rows[..., i, :]
+    batch = np.broadcast_shapes(labels.shape[:-1], rows.shape[:-2])
+    out = np.zeros((*batch, m, rows.shape[-1]))
+    grid = np.indices(batch, sparse=True)
+    for i in range(labels.shape[-1]):
+        out[(*grid, labels[..., i])] += rows[..., i, :]
     return out
 
 
@@ -260,9 +264,18 @@ def _merged_row_sums(q: np.ndarray, parent, i_idx, j_idx) -> np.ndarray:
     return row.sum(axis=1)[parent] - row[parent, i_idx] - row[parent, j_idx] + fold
 
 
-def _sorted_sum(terms: np.ndarray) -> float:
-    """Sum in ascending order, so equal multisets of terms give equal floats."""
-    return float(np.sort(terms, axis=None).sum())
+def _entropies(buf: np.ndarray, cells: int) -> tuple[float, float]:
+    """-sum xlog2x over buf[:cells] and over buf[cells:], each summed in
+    ascending order, so equal multisets of terms give equal floats.
+
+    The evaluators pool a clustering's joint cells and its cluster masses
+    in one flat buffer: one xlog2x for both, two in-place sorts.
+    """
+    terms = xlog2x(buf)
+    joint, masses = terms[:cells], terms[cells:]
+    joint.sort()
+    masses.sort()
+    return -float(joint.sum()), -float(masses.sum())
 
 
 class _JointEvaluator:
@@ -276,10 +289,13 @@ class _JointEvaluator:
     def evaluate(self, labels) -> tuple[float, float]:
         """Objectives of one clustering, from scratch and path-independent."""
         idx = np.frombuffer(bytes(labels), dtype=np.uint8)
-        pushed = np.zeros((int(idx.max()) + 1, self.rows.shape[1]))
+        m, ny = int(idx.max()) + 1, self.rows.shape[1]
+        buf = np.zeros(m * (ny + 1))  # the (m, ny) cells, then their m masses
+        pushed = buf[: m * ny].reshape(m, ny)
         np.add.at(pushed, idx, self.rows)
-        hz = max(0.0, -_sorted_sum(xlog2x(pushed.sum(axis=1))))
-        hzy = -_sorted_sum(xlog2x(pushed))
+        pushed.sum(axis=1, out=buf[m * ny :])
+        hzy, hz = _entropies(buf, m * ny)
+        hz = max(0.0, hz)
         return -hz, max(0.0, hz + self.hy - hzy)
 
     def merge_objectives(self, parents: np.ndarray, parent, i_idx, j_idx):
@@ -309,7 +325,10 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
 
     level = np.arange(n, dtype=np.uint8)[None]  # the identity clustering
     x0, y0 = evaluator.evaluate(level[0])
-    frontier.add(ParetoPoint(x0, y0, encoder=Encoder(tuple(range(n)))))
+    frontier.add(ParetoPoint(x0, y0))
+    # Each frontier point's labels, keyed by its (x, y). A key is never
+    # offered twice: an evicted point's (x, y) stays dominated.
+    labels = {(x0, y0): level[0].tobytes()}
     searched = 1
     enqueued = 1
 
@@ -352,17 +371,24 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
             ):
                 d = distance(x, y)
                 if d <= INFO_TOL:  # a tie may hinge on the path-dependent last bits
-                    x, y = evaluate(merge[q][level[p]])
+                    row = merge[q][level[p]]
+                    x, y = evaluate(row)
                     d = distance(x, y)
+                # an entering child has d = 0, so it was evaluated again
                 entered = d == 0.0 and is_optimal(x, y)
                 if entered:
-                    add(ParetoPoint(x, y, encoder=Encoder(tuple(merge[q][level[p]].tolist()))))
+                    add(ParetoPoint(x, y))
+                    labels[x, y] = row.tobytes()
+                    if len(labels) > 2 * len(frontier):  # drop the evicted points' labels
+                        labels = {(pt.x, pt.y): labels[pt.x, pt.y] for pt in frontier}
                 # at epsilon = 0, d is also 0 on the walls: keep entries only
                 keep[k] = entered if greedy else draw < enqueue_probability(d, epsilon)
         level = merge[pair[keep, None], level[parent[keep]]]
         enqueued += len(level)
         m -= 1
 
+    for pt in frontier:
+        pt.encoder = Encoder(tuple(labels[pt.x, pt.y]))
     return frontier, SearchStats(searched, enqueued)
 
 

@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import copy
 import math
-import operator
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import check_seed, derive_seed, least_squares_line
+from ._util import as_integer, check_seed, derive_seed, least_squares_line
 from .distributions import sample_simplex
 from .mapper import SearchConfig, pareto_mapper
 from .oracle import bell_number, brute_force_frontier
@@ -118,19 +117,9 @@ def _draw_clouds(kind: CopulaKind, rng, trials: int, n: int):
             rng.bit_generator.advance(t * n)
 
 
-def _integer(name: str, value) -> int:
-    """value as an int; ValueError naming `name` unless it is an integer."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def sample_cloud(kind: CopulaKind, n: int, seed: int) -> np.ndarray:
     """Draw an (n, 2) cloud with the given dependence; deterministic per seed."""
-    n = _integer("cloud size", n)
+    n = as_integer("cloud size", n)
     if n < 1:
         raise ValueError("cloud size must be at least 1")
     u, v = next(_draw_clouds(kind, np.random.default_rng(seed), 1, n))
@@ -163,7 +152,7 @@ def pareto_size(points) -> int:
 
 def harmonic_number(n: int) -> float:
     """H_n = sum_{k=1..n} 1/k, the expected Pareto size of independent clouds."""
-    n = _integer("n", n)
+    n = as_integer("n", n)
     if n < 0:
         raise ValueError(f"the harmonic number needs n >= 0, got {n}")
     return float(np.sum(1.0 / np.arange(1, n + 1)))
@@ -242,10 +231,10 @@ def scaling_experiment(
     kind: CopulaKind, n_values: Sequence[int], trials: int, seed: int
 ) -> list[CloudScalingRow]:
     """Mean and std of the Pareto-set size per cloud size, over `trials` clouds."""
-    trials = _integer("trials", trials)
+    trials = as_integer("trials", trials)
     if trials < 10:
         raise ValueError("at least 10 trials are required")
-    n_values = [_integer("cloud size", n) for n in n_values]
+    n_values = [as_integer("cloud size", n) for n in n_values]
     if any(n < 1 for n in n_values):
         raise ValueError("cloud size must be at least 1")
     check_seed(seed)
@@ -278,10 +267,10 @@ def dib_frontier_scaling(
     """
     if engine not in ("oracle", "greedy"):
         raise ValueError("engine must be 'oracle' or 'greedy'")
-    trials = _integer("trials", trials)
+    trials = as_integer("trials", trials)
     if trials < 1:
         raise ValueError("at least 1 trial is required")
-    n_values = [_integer("input size", n) for n in n_values]
+    n_values = [as_integer("input size", n) for n in n_values]
     if any(n < 1 for n in n_values):
         raise ValueError("input size must be at least 1")
     check_seed(seed)

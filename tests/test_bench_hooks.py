@@ -8,6 +8,7 @@ benchmark run.
 
 import pathlib
 
+import numpy as np
 import pytest
 
 import dibmap
@@ -15,6 +16,7 @@ import dibmap.mapper
 import dibmap.oracle
 import dibmap.robust
 import dibmap.scaling
+import dibmap.symmetric
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -52,3 +54,28 @@ def test_search_offers_go_through_the_traced_frontier(spans):
     calls = tracer.leaf_total("pareto.distance")[0]
     assert 0 < calls <= stats.points_searched
     assert tracer.frontiers == [frontier]
+
+
+@pytest.mark.parametrize("kind", ["plain", "symmetric"])
+def test_search_builds_one_encoder_per_frontier_point(spans, kind):
+    # spans.install rebinds dibmap.mapper.Encoder to a counting function, so
+    # the search must build its encoders through that name, once per point
+    # that survives it
+    if kind == "plain":
+        problem = dibmap.sample_simplex(8, 4, 3)
+        search, evaluator = dibmap.pareto_mapper, dibmap.mapper._JointEvaluator
+    else:
+        rng = np.random.default_rng(3)
+        p = rng.exponential(size=(6, 6, 3))
+        problem = dibmap.TripleJointPMF(p / p.sum())
+        search, evaluator = dibmap.symmetric_pareto_mapper, dibmap.symmetric._TripleEvaluator
+    tracer = spans.Tracer()
+    with spans.install(tracer):
+        frontier, _ = search(problem, dibmap.SearchConfig(0.0, 1))
+    assert tracer.counters["encoders.constructed"] == len(frontier) > 1
+    ev = evaluator(problem)
+    for p in frontier:
+        assert ev.evaluate(p.encoder.assignment) == (p.x, p.y)
+    first, second = ([(p, p.encoder) for p in frontier] for _ in range(2))
+    assert len(first) == len(second)
+    assert all(p is q and e is f for (p, e), (q, f) in zip(first, second))

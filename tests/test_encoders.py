@@ -96,3 +96,18 @@ class TestValidation:
             Encoder((0, 2))
         with pytest.raises(ValueError):
             Encoder((0, -1))
+
+    @pytest.mark.parametrize(
+        "assignment",
+        [(0, 1.7), (0, 1.0), (0, True), (False,), ("0", "1"), (np.float64(0),), (np.bool_(False),)],
+        ids=["float", "integral-float", "bool", "bool-first", "str", "np-float", "np-bool"],
+    )
+    def test_rejects_non_integer_labels(self, assignment):
+        # int() would truncate these to a valid-looking (0, 1) or (0,)
+        with pytest.raises(ValueError, match="must be an integer"):
+            Encoder(assignment)
+
+    def test_accepts_numpy_integer_labels(self):
+        f = Encoder((np.int64(0), np.uint8(1), np.int32(0)))
+        assert f.assignment == (0, 1, 0)
+        assert all(type(a) is int for a in f.assignment)

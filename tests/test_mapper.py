@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dibmap as dm
@@ -24,6 +24,7 @@ from dibmap import (
     sample_simplex,
     upper_hull,
 )
+from dibmap.distributions import xlog2x
 from dibmap.encoders import canonicalize
 from dibmap.mapper import (
     _first_children,
@@ -340,6 +341,22 @@ class TestPush:
         for p, z in zip(joints, pushed):
             assert np.array_equal(z, push_forward(JointPMF(p), f).p)
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_labelings_against_shared_joints(self, seed, n, ny):
+        # the bootstrap's form: K strings (K, 1, n) against R joints (R, n, ny)
+        rng = np.random.default_rng(seed)
+        draws = rng.multinomial(300, np.full(n * ny, 1 / (n * ny)), size=4)
+        joints = draws.reshape(4, n, ny) / 300
+        encs = [canonicalize(rng.integers(0, n, size=n)) for _ in range(3)]
+        block = np.array([f.assignment for f in encs], dtype=np.uint8)
+        pushed = _push(block[:, None], joints, n)
+        assert pushed.shape == (3, 4, n, ny)
+        for f, zs in zip(encs, pushed):
+            for p, z in zip(joints, zs):
+                assert np.array_equal(z[: f.m], push_forward(JointPMF(p), f).p)
+                assert not z[f.m :].any()
+
 
 class TestMergeObjectives:
     """The batched kernels, the search's merge_objectives and the oracle's
@@ -406,6 +423,93 @@ class TestMergeObjectives:
         for eps in (0.0, math.inf):
             frontier, stats = pareto_mapper(joint, SearchConfig(eps, seed=0))
             assert (stats.points_searched, stats.enqueued, len(frontier)) == (1, 1, 1)
+
+
+def sorted_sum(terms):
+    """Sum in ascending order: the reference reduction of the exact evaluators."""
+    return float(np.sort(terms, axis=None).sum())
+
+
+def reference_plain(ev, labels):
+    """The plain evaluator's formula with one xlog2x and one sorted sum per
+    entropy, cells and masses in separate arrays."""
+    idx = np.frombuffer(bytes(labels), dtype=np.uint8)
+    pushed = np.zeros((int(idx.max()) + 1, ev.rows.shape[1]))
+    np.add.at(pushed, idx, ev.rows)
+    hz = max(0.0, -sorted_sum(xlog2x(pushed.sum(axis=1))))
+    hzy = -sorted_sum(xlog2x(pushed))
+    return -hz, max(0.0, hz + ev.hy - hzy)
+
+
+def reference_symmetric(ev, labels):
+    """The symmetric evaluator's formula, as reference_plain."""
+    q = ev._cells(np.frombuffer(bytes(labels), dtype=np.uint8)[None])[0]
+    hz = max(0.0, -sorted_sum(xlog2x(q.sum(axis=2))))
+    hzy = -sorted_sum(xlog2x(q))
+    return -hz / 2.0, max(0.0, hz + ev.hy - hzy)
+
+
+def random_rgs(rng, n):
+    """A random canonical label string of length n, as uint8."""
+    labels = [0]
+    for _ in range(n - 1):
+        labels.append(int(rng.integers(max(labels) + 2)))
+    return np.array(labels, dtype=np.uint8)
+
+
+class TestExactEvaluation:
+    """The exact re-evaluation, which pools cells and cluster masses in one
+    buffer, against the reference formula bit for bit, for every label type
+    evaluate accepts."""
+
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 24), st.integers(1, 12),
+        st.booleans(), st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(seed=0, n=6, ny=1, zero_rows=True, dup_rows=True)
+    def test_plain(self, seed, n, ny, zero_rows, dup_rows):
+        rng = np.random.default_rng(seed)
+        p = rng.exponential(size=(n, ny))
+        if zero_rows:
+            p[rng.integers(n, size=n // 2)] = 0.0
+        if dup_rows:
+            p[rng.integers(n, size=n // 2)] = p[rng.integers(n)]
+        if p.sum() == 0.0:
+            p[0] = 1.0
+        ev = _JointEvaluator(JointPMF(p / p.sum()))
+        for labels in [np.arange(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8)] + [
+            random_rgs(rng, n) for _ in range(4)
+        ]:
+            want = reference_plain(ev, labels)
+            for form in (labels, labels.tobytes(), tuple(labels.tolist())):
+                assert ev.evaluate(form) == want
+
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 4),
+        st.booleans(), st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    @example(seed=0, g=5, ny=1, zero_symbols=True, dup_symbols=True)
+    def test_symmetric(self, seed, g, ny, zero_symbols, dup_symbols):
+        rng = np.random.default_rng(seed)
+        p = rng.exponential(size=(g, g, ny))
+        if zero_symbols:
+            a = rng.integers(g)
+            p[a] = p[:, a] = 0.0
+        if dup_symbols:
+            a, b = rng.integers(g, size=2)
+            p[b] = p[a]
+            p[:, b] = p[:, a]
+        if p.sum() == 0.0:
+            p[:] = 1.0
+        ev = _TripleEvaluator(dm.TripleJointPMF(p / p.sum()))
+        for labels in [np.arange(g, dtype=np.uint8), np.zeros(g, dtype=np.uint8)] + [
+            random_rgs(rng, g) for _ in range(4)
+        ]:
+            want = reference_symmetric(ev, labels)
+            for form in (labels, labels.tobytes(), tuple(labels.tolist())):
+                assert ev.evaluate(form) == want
 
 
 class TestDmcPoints:

@@ -24,10 +24,21 @@ from dibmap import (
     significance_filter,
 )
 from dibmap._util import derive_seed
+from dibmap.distributions import xlog2x
+from dibmap.mapper import _objectives, _push
 
 
 def point(x, y, dx, dy):
     return ParetoPoint(x, y, dx=dx, dy=dy)
+
+
+def spread_one(arr, f):
+    """Reference bootstrap reduction: one encoder against the replicates
+    arr, alone, through _push, _objectives and np.std."""
+    labels = np.broadcast_to(np.asarray(f.assignment), (len(arr), f.n))
+    pushed = _push(labels, arr, f.m)
+    xs, ys = _objectives(pushed, -xlog2x(pushed.sum(axis=1)).sum(axis=1))
+    return float(np.std(xs, ddof=1)), float(np.std(ys, ddof=1))
 
 
 class TestBootstrapUncertainty:
@@ -240,6 +251,27 @@ class TestBootstrapPool:
             bootstrap_uncertainty(counts, p.encoder, cfg.bootstrap_reps, shared)
             for p in full
         ]
+
+    @pytest.mark.parametrize("cells", [48, dibmap.robust._SPREAD_CELLS], ids=["sliced", "default"])
+    def test_batched_spreads_match_per_point_reduction(self, monkeypatch, cells):
+        monkeypatch.setattr(dibmap.robust, "_SPREAD_CELLS", cells)
+        counts = multinomial_sample(sample_simplex(9, 4, 5), 300, 2)
+        cfg = RobustConfig(0.0, seed=3, bootstrap_reps=2)
+        _, full, _ = robust_pareto_mapper(counts, cfg)
+        ms = [p.encoder.m for p in full]
+        per_slice = {m: max(1, cells // (cfg.bootstrap_reps * m * counts.ny)) for m in ms}
+        assert len(per_slice) > 3
+        # a group cut into several slices of more than one encoder
+        assert cells != 48 or any(1 < k < ms.count(m) for m, k in per_slice.items())
+        arr = dibmap.robust._replicates(counts, cfg.bootstrap_reps, derive_seed(cfg.seed, 0))
+        assert [(p.dx, p.dy) for p in full] == [spread_one(arr, p.encoder) for p in full]
+
+    @pytest.mark.parametrize("assignment", [(0, 1, 2, 3, 4, 5), (0, 1, 0, 2, 1, 0), (0,) * 6])
+    def test_bootstrap_uncertainty_matches_per_point_reduction(self, assignment):
+        counts = multinomial_sample(sample_simplex(6, 4, 2), 300, 5)
+        f = Encoder(assignment)
+        arr = dibmap.robust._replicates(counts, 30, 11)
+        assert bootstrap_uncertainty(counts, f, 30, 11) == spread_one(arr, f)
 
     def test_import_loads_no_executor(self):
         # concurrent.futures pulls in logging, and both would add to every
