@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import as_integer, check_seed
 from .encoders import Encoder
 from .errors import DimensionMismatchError, InvalidDistributionError
 
@@ -78,6 +79,8 @@ class EmpiricalCounts:
         n = np.asarray(self.n)
         if n.ndim != 2 or n.shape[0] < 1 or n.shape[1] < 1:
             raise ValueError("counts must be a non-empty 2-D matrix")
+        if n.dtype == bool:
+            raise ValueError("counts must be integers")
         if not np.issubdtype(n.dtype, np.integer):
             if not np.all(np.isfinite(n)):
                 raise ValueError("counts must be finite (no NaN or inf)")
@@ -143,8 +146,10 @@ def sample_simplex(nx: int, ny: int, seed: int) -> JointPMF:
     Standard Dirichlet(1, ..., 1) construction: i.i.d. unit-rate exponential
     draws, normalized. Deterministic for a fixed seed.
     """
+    nx, ny = as_integer("nx", nx), as_integer("ny", ny)
     if nx < 1 or ny < 1:
         raise ValueError("nx and ny must be at least 1")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     e = rng.exponential(size=(nx, ny))
     return JointPMF(e / e.sum())
@@ -152,8 +157,10 @@ def sample_simplex(nx: int, ny: int, seed: int) -> JointPMF:
 
 def multinomial_sample(joint: JointPMF, s: int, seed: int) -> EmpiricalCounts:
     """Draw s samples from the joint; returns the cell-count matrix."""
+    s = as_integer("sample count s", s)
     if s < 1:
         raise ValueError("sample count s must be at least 1")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(s, joint.p.ravel()).reshape(joint.p.shape)
     return EmpiricalCounts(counts)

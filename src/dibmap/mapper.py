@@ -248,7 +248,8 @@ def _objectives(pushed: np.ndarray, hy):
     """Batched (-H(Z), I(Z;Y)) of (K, m, ny) pushed matrices; hy is H(Y),
     one value or one per matrix. All-zero clusters contribute nothing."""
     hz = np.maximum(-xlog2x(pushed.sum(axis=2)).sum(axis=1), 0.0)
-    hzy = -xlog2x(pushed.reshape(len(pushed), -1)).sum(axis=1)
+    k, m, ny = pushed.shape
+    hzy = -xlog2x(pushed.reshape(k, m * ny)).sum(axis=1)
     return -hz, np.maximum(hz + hy - hzy, 0.0)
 
 

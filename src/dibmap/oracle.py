@@ -8,23 +8,21 @@ most BLOCK_ROWS rows, for every n: all positions but the last two are
 expanded at once, the last two per group of prefixes (Knuth, TAOCP 4A,
 7.2.1.5).
 
-Each block is evaluated from its prefixes, in two stages. A group's
-prefixes are pushed forward once, padded to n clusters, with their xlog2x
-terms, row sums and mass terms; each later position rebuilds the one
-cluster it lands in once per string of its level, so position n - 2's
-once per (n - 1)-label prefix. The screen updates the prefix's totals by
-the replaced and the rebuilt clusters, O(ny) per string, and drops every
-row whose corner (x + delta, y + delta) the frontier so far weakly
-dominates: nearly all rows of a random joint. It sums the same floats as
-the exact stage in another order, and delta is a summation error bound
+Each block is screened from its prefixes. A group's prefixes are pushed
+forward once, padded to n clusters, with their row sums of xlog2x terms
+and their mass terms; each later position rebuilds the one cluster it
+lands in once per string of its level, so position n - 2's once per
+(n - 1)-label prefix. The screen updates the prefix's totals by the
+replaced and the rebuilt clusters, O(ny) per string, and drops every row
+whose corner (x + delta, y + delta) the frontier so far weakly dominates:
+nearly all rows of a random joint. It sums the same floats as
+mapper._objectives in another order, and delta is a summation error bound
 (_screen_slack), so each dropped row is dominated exactly too. The rows
-left gather their prefix's terms and scatter their rebuilt clusters'.
-Every cell receives the same additions in the same order as a full push,
-and the reductions run over arrays of the same shape, so these objectives
-equal the search's batched plain kernel bit for bit. Rows the frontier so
-far weakly dominates are dropped by one binary search, the rest merged
-with it, held as arrays, by one pareto_mask, and the final frontier's
-encoders are checked canonical as one array.
+left are scored by the batched plain kernel the bootstrap also uses,
+mapper._objectives(_push(...)). Rows the frontier so far weakly dominates
+are dropped by one binary search, the rest merged with it, held as
+arrays, by one pareto_mask, and the final frontier's encoders are checked
+canonical as one array.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import numpy as np
 from .distributions import JointPMF, xlog2x
 from .encoders import Encoder
 from .errors import CapacityError
-from .mapper import _push
+from .mapper import _objectives, _push
 from .pareto import ParetoPoint, ParetoSet, pareto_mask, weakly_dominated
 
 MAX_EXHAUSTIVE_N = 13
@@ -106,34 +104,28 @@ def _rgs_blocks(n: int) -> Iterator[np.ndarray]:
 
 
 def _block_objectives(levels, srcs, p: np.ndarray, hy: float):
-    """Screening values of a group's block (see _rgs_groups), and its
-    objectives on demand.
+    """Screening values (sx, sy) of a group's block (see _rgs_groups): they
+    lie within _screen_slack(n, ny) of every row's
+    mapper._objectives(_push(block, p, n), hy).
 
-    Returns (sx, sy, exact): exact(rows) is
-    mapper._objectives(_push(block, p, n), hy)[rows], bit for bit, and
-    sx, sy lie within _screen_slack(n, ny) of every row's x and y.
-
-    The prefixes are pushed once, padded to n clusters, with their xlog2x
-    terms, row sums and mass terms. Each later position rebuilds, once per
-    string of its level, the cluster it lands in: that cluster's cell so
-    far plus the position's row, as _push adds them. The screen updates
-    the prefix's totals of row sums and mass terms by the replaced and the
-    rebuilt cluster, O(ny) per string. exact gathers the prefix's terms,
-    scatters the rebuilt clusters' and reduces arrays of _objectives'
-    shape and values.
+    The prefixes are pushed once, padded to n clusters, with their row sums
+    of xlog2x terms and their mass terms. Each later position rebuilds,
+    once per string of its level, the cluster it lands in: that cluster's
+    cell so far plus the position's row, as _push adds them. The screen
+    updates the prefix's totals of row sums and mass terms by the replaced
+    and the rebuilt cluster, O(ny) per string.
     """
     n = levels[-1].shape[1]
     lead = levels[0].shape[1]
     ny = p.shape[1]
     # one row per prefix cluster; the screen's row sums may add in any order
     pre = _push(levels[0], p[:lead], n).reshape(-1, ny)
-    pre_terms = xlog2x(pre)
-    pre_rows, pre_mass = pre_terms @ np.ones(ny), xlog2x(pre.sum(axis=1))
+    pre_rows, pre_mass = xlog2x(pre) @ np.ones(ny), xlog2x(pre.sum(axis=1))
     row_tot = pre_rows.reshape(-1, n).sum(axis=1)
     mass_tot = pre_mass.reshape(-1, n).sum(axis=1)
     owner = np.arange(len(levels[0]))
     # per tail position: each string's row in that position's level, then
-    # the level's labels there and its rebuilt cells, terms, row sums, masses
+    # the level's labels there and its rebuilt cells, row sums, masses
     tails = []
     for i, src in enumerate(srcs, lead):
         owner, row_tot, mass_tot = owner[src], row_tot[src], mass_tot[src]
@@ -144,39 +136,24 @@ def _block_objectives(levels, srcs, p: np.ndarray, hy: float):
         cell = np.take(pre, j, axis=0)
         rows, mass = np.take(pre_rows, j), np.take(pre_mass, j)
         # a cluster an earlier tail position rebuilt continues from that cell
-        for at, tc, tcell, _, trows, tmass in tails:
+        for at, tc, tcell, trows, tmass in tails:
             same = np.flatnonzero(tc[at] == c)
             cell[same], rows[same], mass[same] = (
                 tcell[at[same]], trows[at[same]], tmass[at[same]])
         cell += p[i]
-        terms = xlog2x(cell)
-        new_rows, new_mass = terms @ np.ones(ny), xlog2x(cell.sum(axis=1))
+        new_rows, new_mass = xlog2x(cell) @ np.ones(ny), xlog2x(cell.sum(axis=1))
         row_tot = row_tot - rows + new_rows
         mass_tot = mass_tot - mass + new_mass
-        tails.append([np.arange(len(c)), c, cell, terms, new_rows, new_mass])
+        tails.append([np.arange(len(c)), c, cell, new_rows, new_mass])
     hz, hzy = np.maximum(-mass_tot, 0.0), -row_tot
-    sy = np.maximum(hz + hy - hzy, 0.0)
-    pre_terms, pre_mass = pre_terms.reshape(-1, n, ny), pre_mass.reshape(-1, n)
-
-    def exact(sel: np.ndarray):
-        k, r = len(sel), np.arange(len(sel))
-        terms = np.take(pre_terms, owner[sel], axis=0)
-        mass = np.take(pre_mass, owner[sel], axis=0)
-        for at, c, _, tterms, _, tmass in tails:
-            terms[r, c[at[sel]]] = tterms[at[sel]]
-            mass[r, c[at[sel]]] = tmass[at[sel]]
-        hz = np.maximum(-mass.sum(axis=1), 0.0)
-        hzy = -terms.reshape(k, n * ny).sum(axis=1)
-        return -hz, np.maximum(hz + hy - hzy, 0.0)
-
-    return -hz, sy, exact
+    return -hz, np.maximum(hz + hy - hzy, 0.0)
 
 
 def _screen_slack(n: int, ny: int) -> float:
     """A bound on |sx - x| and |sy - y| over the strings of an n x ny joint
     (see _block_objectives).
 
-    The screen and the exact kernel sum the same floats, xlog2x of the
+    The screen and mapper._objectives sum the same floats, xlog2x of the
     same cells and of the same masses; only the order of the sums differs.
     Each sum adds at most N = (n + 4) ny terms t: the prefix's n clusters,
     two replaced clusters subtracted and two rebuilt ones added. Any order
@@ -185,8 +162,8 @@ def _screen_slack(n: int, ny: int) -> float:
     and Stability of Numerical Algorithms, 2nd ed., section 4.2). Those
     terms come in at most five groups, each of m <= n ny cells or masses
     of total mass s <= 1, and sum -q log2 q <= s log2(m / s) <= log2 m + 1
-    (Jensen), so sum |t| <= A = 5 (log2(n ny) + 1) for every sum. Screen
-    and exact share the exact sums, and max(., 0) is 1-Lipschitz, so
+    (Jensen), so sum |t| <= A = 5 (log2(n ny) + 1) for every sum. Both
+    share the exact sums, and max(., 0) is 1-Lipschitz, so
     |sx - x| <= 2 gamma_N A. y adds two roundings per side, of values at
     most A: |sy - y| <= 4 gamma_N A + 4 u A. As N >= 5, gamma_N >= 5 u, so
     6 gamma_N A also covers the float terms' own rounding and that of the
@@ -230,9 +207,9 @@ def brute_force_frontier(joint: JointPMF) -> ParetoSet:
     xs = ys = np.empty(0)
     labels = np.empty((0, n), dtype=np.uint8)
     for levels, srcs in _rgs_groups(n):
-        sx, sy, exact = _block_objectives(levels, srcs, joint.p, hy)
+        sx, sy = _block_objectives(levels, srcs, joint.p, hy)
         rows = np.flatnonzero(~weakly_dominated(xs, ys, sx + delta, sy + delta))
-        bx, by = exact(rows)
+        bx, by = _objectives(_push(levels[-1][rows], joint.p, n), hy)
         live = ~weakly_dominated(xs, ys, bx, by)
         xs, ys = np.concatenate((xs, bx[live])), np.concatenate((ys, by[live]))
         labels = np.concatenate((labels, levels[-1][rows[live]]))

@@ -273,6 +273,7 @@ def dib_frontier_scaling(
     n_values = [as_integer("input size", n) for n in n_values]
     if any(n < 1 for n in n_values):
         raise ValueError("input size must be at least 1")
+    ny = as_integer("ny", ny)
     check_seed(seed)
     rows = []
     for n in n_values:

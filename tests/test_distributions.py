@@ -200,6 +200,36 @@ class TestSampling:
         with pytest.raises(ValueError):
             multinomial_sample(random_joint(2, 2, 1), 0, 0)
 
+    @pytest.mark.parametrize("s", [2.5, 2.0, True, "3"])
+    def test_multinomial_rejects_non_integer_sample_counts(self, s):
+        with pytest.raises(ValueError, match="sample count s must be an integer"):
+            multinomial_sample(random_joint(2, 2, 1), s, 0)
+
+    @pytest.mark.parametrize("seed", [True, -1])
+    def test_multinomial_rejects_bad_seeds(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            multinomial_sample(random_joint(2, 2, 1), 5, seed)
+
+    @pytest.mark.parametrize(
+        "nx, ny, seed, match",
+        [(2.0, 3, 0, "nx must be an integer"),
+         (True, 3, 0, "nx must be an integer"),
+         (3, 2.5, 0, "ny must be an integer"),
+         (3, "3", 0, "ny must be an integer"),
+         (0, 3, 0, "at least 1"),
+         (3, 3, True, "seed must be a non-negative integer"),
+         (3, 3, -1, "seed must be a non-negative integer")],
+    )
+    def test_simplex_rejects_bad_input(self, nx, ny, seed, match):
+        with pytest.raises(ValueError, match=match):
+            sample_simplex(nx, ny, seed)
+
+    def test_accepts_numpy_integers(self):
+        j = sample_simplex(np.int64(3), np.int32(2), np.uint64(5))
+        np.testing.assert_array_equal(j.p, sample_simplex(3, 2, 5).p)
+        counts = multinomial_sample(j, np.int64(40), np.int32(1))
+        np.testing.assert_array_equal(counts.n, multinomial_sample(j, 40, 1).n)
+
     def test_sampling_ratio(self):
         j = random_joint(3, 3, 8)
         s = 1000
@@ -247,6 +277,10 @@ class TestCounts:
     def test_total_beyond_int64_rejected_by_name(self):
         with pytest.raises(ValueError, match="total below 2\\^63"):
             EmpiricalCounts(np.array([[2**62, 2**62], [2**62, 1]]))
+
+    def test_bool_counts_rejected(self):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            EmpiricalCounts(np.array([[True, False], [False, True]]))
 
     def test_largest_int64_count_accepted(self):
         assert EmpiricalCounts(np.array([[2**63 - 1, 0]])).total == 2**63 - 1

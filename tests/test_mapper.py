@@ -418,6 +418,13 @@ class TestMergeObjectives:
         xs, ys = make_evaluator().merge_objectives(parents, empty, empty, empty)
         assert xs.shape == ys.shape == (0,)
 
+    @pytest.mark.parametrize("m, ny", [(1, 1), (4, 3)])
+    def test_empty_batch(self, m, ny):
+        # an oracle block whose every row the screen drops
+        xs, ys = _objectives(np.zeros((0, m, ny)), 1.0)
+        assert xs.shape == ys.shape == (0,)
+        assert xs.dtype == ys.dtype == np.float64
+
     def test_single_symbol_evaluates_only_the_identity(self):
         joint = JointPMF(np.array([[0.5, 0.5]]))
         for eps in (0.0, math.inf):

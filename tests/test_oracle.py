@@ -186,9 +186,18 @@ class TestMergePrefilter:
         monkeypatch.setattr(dm.oracle, "BLOCK_ROWS", 16)
         # one block per prefix of n - 2 labels
         assert len(list(_rgs_groups(n))) == bell_number(n - 2)
+        scored = []
+
+        def objectives(pushed, hy):
+            scored.append(len(pushed))
+            return _objectives(pushed, hy)
+
+        monkeypatch.setattr(dm.oracle, "_objectives", objectives)
         got = [(p.x, p.y, p.encoder) for p in brute_force_frontier(joint)]
         assert got == self.offer_every_partition(joint)
         assert len(got) < bell_number(n)
+        # the screen drops some block whole: its exact stage gets no rows
+        assert len(scored) == bell_number(n - 2) and 0 in scored
 
     @pytest.mark.parametrize(
         "make_joint",
@@ -220,22 +229,19 @@ KINDS = ["simplex", "zero-rows", "repeated-rows", "diagonal"]
 
 class TestPrefixKernel:
     @staticmethod
-    def check_groups(n, p, rng):
+    def check_groups(n, p):
         hy = float(-xlog2x(p.sum(axis=0)).sum())
+        delta = _screen_slack(n, p.shape[1])
         for levels, srcs in _rgs_groups(n):
             # each level extends the one before; the last holds n labels
             assert len(levels) == len(srcs) + 1 == min(n, 3)
             assert levels[-1].shape[1] == n
             for level, src, longer in zip(levels, srcs, levels[1:]):
                 np.testing.assert_array_equal(longer[:, :-1], level[src])
-            block = levels[-1]
-            _, _, exact = _block_objectives(levels, srcs, p, hy)
-            want = _objectives(_push(block, p, n), hy)
-            got = exact(np.arange(len(block)))
-            assert all(np.array_equal(g, w) for g, w in zip(got, want))
-            rows = rng.choice(len(block), rng.integers(0, len(block) + 1))
-            got = exact(rows)
-            assert all(np.array_equal(g, w[rows]) for g, w in zip(got, want))
+            sx, sy = _block_objectives(levels, srcs, p, hy)
+            x, y = _objectives(_push(levels[-1], p, n), hy)
+            assert sx.shape == sy.shape == (len(levels[-1]),)
+            assert np.all(np.abs(sx - x) <= delta) and np.all(np.abs(sy - y) <= delta)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -244,8 +250,8 @@ class TestPrefixKernel:
         kind=st.sampled_from(KINDS),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_full_push_bit_for_bit(self, n, ny, kind, seed):
-        self.check_groups(n, kernel_joint(n, ny, kind, seed), np.random.default_rng(seed))
+    def test_screen_within_slack_of_full_push(self, n, ny, kind, seed):
+        self.check_groups(n, kernel_joint(n, ny, kind, seed))
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -253,8 +259,7 @@ class TestPrefixKernel:
         # the prefix holds one label: n = 1 and 2 have no or one position
         # after it, n = 3 the usual two
         for seed in range(3):
-            p = kernel_joint(n, 5, kind, seed)
-            self.check_groups(n, p, np.random.default_rng(seed))
+            self.check_groups(n, kernel_joint(n, 5, kind, seed))
 
 
 class TestScreen:
@@ -274,8 +279,8 @@ class TestScreen:
             groups = list(_rgs_groups(n))
         so_far = ParetoSet()
         for levels, srcs in groups:
-            sx, sy, exact = _block_objectives(levels, srcs, p, hy)
-            x, y = exact(np.arange(len(sx)))
+            sx, sy = _block_objectives(levels, srcs, p, hy)
+            x, y = _objectives(_push(levels[-1], p, n), hy)
             assert np.all(np.abs(sx - x) <= delta) and np.all(np.abs(sy - y) <= delta)
             rows = zip((sx + delta).tolist(), (sy + delta).tolist(), x.tolist(), y.tolist())
             for cx, cy, xi, yi in rows:

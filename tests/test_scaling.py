@@ -336,6 +336,11 @@ class TestDibFrontierScaling:
         with pytest.raises(ValueError, match=match):
             dib_frontier_scaling(n_values, trials, 0, ny=3)
 
+    @pytest.mark.parametrize("ny", [2.0, 2.5, True, "3"])
+    def test_rejects_non_integer_ny(self, ny):
+        with pytest.raises(ValueError, match="ny must be an integer"):
+            dib_frontier_scaling([4], 1, 0, ny=ny)
+
     @pytest.mark.parametrize("engine", ["oracle", "greedy"])
     def test_rejects_a_negative_seed(self, engine):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
