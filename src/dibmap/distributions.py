@@ -79,9 +79,12 @@ class EmpiricalCounts:
         n = np.asarray(self.n)
         if n.ndim != 2 or n.shape[0] < 1 or n.shape[1] < 1:
             raise ValueError("counts must be a non-empty 2-D matrix")
-        if n.dtype == bool:
-            raise ValueError("counts must be integers")
-        if not np.issubdtype(n.dtype, np.integer):
+        # ints beyond int64 and uint64 come as objects, strings as text
+        if n.dtype.kind not in "iuf":
+            raise ValueError(
+                f"counts must be integers within int64, got {n.dtype} entries"
+            )
+        if n.dtype.kind == "f":
             if not np.all(np.isfinite(n)):
                 raise ValueError("counts must be finite (no NaN or inf)")
             if not np.all(n == np.floor(n)):

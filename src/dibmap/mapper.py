@@ -24,7 +24,7 @@ breadth-first queue, and so do the random draws.
 The batched values depend on the merge path in their last bits, so a
 child within INFO_TOL of the frontier is evaluated again from scratch, and
 the offer is decided on that path-independent value: one partition, or
-two with equal objectives, never becomes several frontier points.
+two with equal multisets of cells, never becomes several frontier points.
 A child's labels are built, through the level's merge table, only where
 they are read: when it is evaluated again, and as a row of the next level
 when it is kept. A child that enters the frontier enters as a bare
@@ -336,7 +336,6 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
     evaluate = evaluator.evaluate
     dominated = frontier.dominated
     distance = frontier.distance
-    is_optimal = frontier.is_optimal
     add = frontier.add
 
     m = n  # cluster count of every parent in the level
@@ -376,9 +375,8 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
                     x, y = evaluate(row)
                     d = distance(x, y)
                 # an entering child has d = 0, so it was evaluated again
-                entered = d == 0.0 and is_optimal(x, y)
+                entered = d == 0.0 and add(ParetoPoint(x, y))
                 if entered:
-                    add(ParetoPoint(x, y))
                     labels[x, y] = row.tobytes()
                     if len(labels) > 2 * len(frontier):  # drop the evicted points' labels
                         labels = {(pt.x, pt.y): labels[pt.x, pt.y] for pt in frontier}

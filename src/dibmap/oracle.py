@@ -19,10 +19,10 @@ nearly all rows of a random joint. It sums the same floats as
 mapper._objectives in another order, and delta is a summation error bound
 (_screen_slack), so each dropped row is dominated exactly too. The rows
 left are scored by the batched plain kernel the bootstrap also uses,
-mapper._objectives(_push(...)). Rows the frontier so far weakly dominates
-are dropped by one binary search, the rest merged with it, held as
-arrays, by one pareto_mask, and the final frontier's encoders are checked
-canonical as one array.
+mapper._objectives(_push(...)), and merged with the frontier so far, held
+as arrays, by one pareto_mask, which also drops the rows that frontier
+weakly dominates. The final frontier's encoders are checked canonical as
+one array.
 """
 
 from __future__ import annotations
@@ -188,16 +188,16 @@ def enumerate_partitions(n: int) -> Iterator[Encoder]:
 def brute_force_frontier(joint: JointPMF) -> ParetoSet:
     """The exact frontier: every partition evaluated, merged in lex order.
 
-    Each block's rows follow the frontier's, which come earlier in lex
-    order, and pareto_mask keeps the first of exact duplicates, so the
-    points and their representatives are those of offering every
-    partition to a ParetoSet in lex order; a block row the frontier so far
-    weakly dominates would fall to it, so it is dropped first. So is a row
-    whose screening corner (sx + delta, sy + delta) it weakly dominates:
-    delta bounds the screen's error (_screen_slack), so that row's exact
-    (x, y) is dominated too, and only the rest are scored exactly. The
-    frontier so far holds no two points with equal x, so keeping it in
-    ascending x changes nothing.
+    A row whose screening corner (sx + delta, sy + delta) the frontier so
+    far weakly dominates is dropped first: delta bounds the screen's error
+    (_screen_slack), so that row's exact (x, y) is dominated too, and only
+    the rest are scored exactly. Each block's rows follow the frontier's,
+    which come earlier in lex order, and pareto_mask keeps the first of
+    exact duplicates, so the merge drops every row the frontier so far
+    weakly dominates, and the points and their representatives are those
+    of offering every partition to a ParetoSet in lex order. The frontier
+    so far holds no two points with equal x, so keeping it in ascending x
+    changes nothing.
     """
     n = joint.nx
     if n > MAX_EXHAUSTIVE_N:
@@ -210,9 +210,8 @@ def brute_force_frontier(joint: JointPMF) -> ParetoSet:
         sx, sy = _block_objectives(levels, srcs, joint.p, hy)
         rows = np.flatnonzero(~weakly_dominated(xs, ys, sx + delta, sy + delta))
         bx, by = _objectives(_push(levels[-1][rows], joint.p, n), hy)
-        live = ~weakly_dominated(xs, ys, bx, by)
-        xs, ys = np.concatenate((xs, bx[live])), np.concatenate((ys, by[live]))
-        labels = np.concatenate((labels, levels[-1][rows[live]]))
+        xs, ys = np.concatenate((xs, bx)), np.concatenate((ys, by))
+        labels = np.concatenate((labels, levels[-1][rows]))
         keep = np.flatnonzero(pareto_mask(np.column_stack((xs, ys))))
         # ascending x, so the next pareto_mask sorts mostly sorted rows
         keep = keep[np.argsort(xs[keep], kind="stable")]

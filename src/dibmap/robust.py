@@ -48,20 +48,18 @@ def _check_reps(reps, name: str) -> None:
 
 
 @dataclass(frozen=True)
-class RobustConfig:
-    """Search scale, seed, bootstrap replicate count, and interval width z.
+class RobustConfig(SearchConfig):
+    """A SearchConfig plus bootstrap replicate count and interval width z.
 
     z scales the +/- z*sigma intervals used by the significance filter
     (1.0 keeps points whose one-sigma intervals separate in some axis).
     """
 
-    epsilon: float
-    seed: int
     bootstrap_reps: int = 100
     z: float = 1.0
 
     def __post_init__(self):
-        check_seed(self.seed)
+        super().__post_init__()
         _check_reps(self.bootstrap_reps, "bootstrap_reps")
         if not 0 < self.z < math.inf:  # also rejects NaN
             raise ValueError("z must be positive and finite")
@@ -157,7 +155,7 @@ def robust_pareto_mapper(
     depend only on the seed.
     """
     joint = normalize_counts(counts)
-    frontier, stats = pareto_mapper(joint, SearchConfig(cfg.epsilon, cfg.seed))
+    frontier, stats = pareto_mapper(joint, cfg)
     arr = _replicates(counts, cfg.bootstrap_reps, derive_seed(cfg.seed, 0))
     for p, (dx, dy) in zip(frontier, _spreads(arr, [p.encoder for p in frontier]).tolist()):
         p.dx, p.dy = dx, dy

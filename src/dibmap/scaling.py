@@ -13,15 +13,11 @@ pareto.pareto_mask on coordinate values, and a rank-statistics route here
 (membership depends only on the composed rank permutation, hence is
 invariant under strictly monotonic transformations of either axis).
 
-The batch experiment fixes its draws by blocks: a block of
-max(1, DRAW_BLOCK_POINTS // N) clouds is one stretch of the PCG64 stream,
-with an independent block's whole first coordinate drawn before its
-second. The clouds are drawn and scanned in sub-blocks of
-max(1, CLOUD_BLOCK_POINTS // N) clouds, the second coordinate of an
-independent block read through a copy of the bit generator jumped ahead
-with PCG64.advance. Memory is therefore bounded by CLOUD_BLOCK_POINTS
-however many clouds are drawn, and the sizes are those of drawing each
-whole block at once.
+The batch experiment draws its clouds in turn from one stream, an
+independent cloud's first coordinate before its second, and draws and
+scans them in sub-blocks of max(1, CLOUD_BLOCK_POINTS // N) clouds. Memory
+is therefore bounded by CLOUD_BLOCK_POINTS however many clouds are drawn,
+and no draw depends on it.
 
 Before the records scan, each cloud drops what its pivot strictly
 dominates (Kung, Luccio & Preparata 1975; Bentley, Clarkson & Levine
@@ -30,7 +26,6 @@ dominates (Kung, Luccio & Preparata 1975; Bentley, Clarkson & Levine
 
 from __future__ import annotations
 
-import copy
 import math
 import time
 from dataclasses import dataclass
@@ -46,9 +41,6 @@ from .pareto import pareto_mask
 
 _TAGS = ("independent", "comonotone", "countermonotone", "gaussian")
 
-# Clouds are drawn in blocks of max(1, DRAW_BLOCK_POINTS // n) clouds of n
-# points; this layout of the PCG64 stream fixes every table.
-DRAW_BLOCK_POINTS = 4_000_000
 # Clouds are drawn and scanned in sub-blocks of max(1, CLOUD_BLOCK_POINTS // n)
 # clouds. It bounds the working arrays only: no draw depends on it.
 CLOUD_BLOCK_POINTS = 1 << 18
@@ -83,38 +75,23 @@ def _draw_clouds(kind: CopulaKind, rng, trials: int, n: int):
     """Yield the coordinates (u, v), each (s, n), of `trials` clouds of n
     points, in sub-blocks of s = max(1, CLOUD_BLOCK_POINTS // n) clouds.
 
-    The stream is laid out in blocks of max(1, DRAW_BLOCK_POINTS // n)
-    clouds, and for independent clouds a block's whole u is drawn before
-    its v. Each block is drawn one sub-block at a time, which gives the
-    same numbers, since consecutive random and standard_normal calls
-    continue one stream. An independent block's v comes from a copy of the
-    PCG64 bit generator advanced past the block's u: every random() double
-    takes exactly one 64-bit output. rng then skips that v itself.
+    The clouds are drawn in turn, an independent cloud's u before its v,
+    and consecutive random and standard_normal calls continue one stream,
+    so no draw depends on the sub-block size.
     """
-    block = max(1, DRAW_BLOCK_POINTS // n)
     sub = max(1, CLOUD_BLOCK_POINTS // n)
-    for start in range(0, trials, block):
-        t = min(block, trials - start)
+    for first in range(0, trials, sub):
+        s = min(sub, trials - first)
         if kind.tag == "independent":
-            ahead = np.random.Generator(copy.deepcopy(rng.bit_generator))
-            ahead.bit_generator.advance(t * n)
-        for first in range(0, t, sub):
-            s = min(sub, t - first)
-            if kind.tag == "gaussian":
-                z = rng.standard_normal((s, n, 2))
-                u = z[:, :, 0]
-                v = kind.r * u + math.sqrt(1.0 - kind.r**2) * z[:, :, 1]
-            else:
-                u = rng.random((s, n))
-                if kind.tag == "independent":
-                    v = ahead.random((s, n))
-                elif kind.tag == "comonotone":
-                    v = u
-                else:
-                    v = 1.0 - u
-            yield u, v
-        if kind.tag == "independent":
-            rng.bit_generator.advance(t * n)
+            u, v = rng.random((s, 2, n)).transpose(1, 0, 2)
+        elif kind.tag == "gaussian":
+            z = rng.standard_normal((s, n, 2))
+            u = z[:, :, 0]
+            v = kind.r * u + math.sqrt(1.0 - kind.r**2) * z[:, :, 1]
+        else:
+            u = rng.random((s, n))
+            v = u if kind.tag == "comonotone" else 1.0 - u
+        yield u, v
 
 
 def sample_cloud(kind: CopulaKind, n: int, seed: int) -> np.ndarray:
@@ -211,8 +188,7 @@ def _batch_sizes(kind: CopulaKind, n: int, trials: int, seed: int) -> np.ndarray
 
     The clouds are drawn and scanned one sub-block at a time (see
     _draw_clouds), so the working arrays stay near CLOUD_BLOCK_POINTS
-    points however many clouds there are, and the sizes are those of
-    drawing each DRAW_BLOCK_POINTS block at once.
+    points however many clouds there are.
     """
     rng = np.random.default_rng(seed)
     return np.concatenate(

@@ -254,7 +254,7 @@ class TestGoldenOutputs:
              "bfdeab85ae54344c2128a9abbd48ef246132aa7e90661696e442080db545aa56"),
             (["scaling", "--kind", "independent", "--n-values", "16,32",
               "--trials", "50", "--seed", "3"],
-             "115329b5f61a7081cb82a31e1048f18422c36efccd412541cdbd98248a4fa5f1"),
+             "151de11e5005504bb5072aab602d889c92d616045fff6cdee3bf7474a6a1b63d"),
             (["scaling", "--kind", "dib", "--engine", "greedy", "--n-values", "3,4",
               "--trials", "3", "--seed", "1", "--ny", "5"],
              "fd5cbc885417cb04dd83ede5c970effb416ca1f1e661333e6b519f15c1ba45cb"),

@@ -282,6 +282,22 @@ class TestCounts:
         with pytest.raises(ValueError, match="counts must be integers"):
             EmpiricalCounts(np.array([[True, False], [False, True]]))
 
+    @pytest.mark.parametrize(
+        "counts, match",
+        [
+            ([[2**70, 1]], "within int64, got object"),
+            ([[2**64, 1]], "within int64, got object"),
+            ([[-2**70, 1]], "within int64, got object"),
+            ([["1", "2"]], "integers within int64, got <U1"),
+            ([[1 + 0j, 2]], "integers within int64, got complex128"),
+            ([[None, 2]], "integers within int64, got object"),
+        ],
+        ids=["2^70", "2^64", "-2^70", "str", "complex", "None"],
+    )
+    def test_non_numeric_and_out_of_range_rejected_by_name(self, counts, match):
+        with pytest.raises(ValueError, match=match):
+            EmpiricalCounts(counts)
+
     def test_largest_int64_count_accepted(self):
         assert EmpiricalCounts(np.array([[2**63 - 1, 0]])).total == 2**63 - 1
 

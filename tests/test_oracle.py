@@ -163,8 +163,9 @@ class TestBruteForceFrontier:
 
 
 class TestMergePrefilter:
-    """Block rows the frontier so far weakly dominates are dropped before
-    each merge; with small blocks that happens at many block boundaries."""
+    """Each merge drops the block rows the frontier so far weakly dominates,
+    exact ties to the frontier's earlier representative; with small blocks
+    that happens at many block boundaries."""
 
     @staticmethod
     def offer_every_partition(joint):

@@ -2,6 +2,7 @@ import math
 import pathlib
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError, asdict
 
 import numpy as np
 import pytest
@@ -236,6 +237,19 @@ class TestRobustParetoMapper:
     def test_non_finite_z_rejected(self, z):
         with pytest.raises(ValueError):
             RobustConfig(0.1, 0, z=z)
+
+    @pytest.mark.parametrize("epsilon", [-1.0, math.nan, -math.inf])
+    def test_bad_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            RobustConfig(epsilon, 0)
+
+    def test_is_a_search_config(self):
+        cfg = RobustConfig(0.05, 3, bootstrap_reps=7, z=2.0)
+        assert isinstance(cfg, dm.SearchConfig)
+        assert list(asdict(cfg).items()) == [
+            ("epsilon", 0.05), ("seed", 3), ("bootstrap_reps", 7), ("z", 2.0)]
+        with pytest.raises(FrozenInstanceError):
+            cfg.epsilon = 1.0
 
 
 class TestBootstrapPool:

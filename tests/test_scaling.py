@@ -79,26 +79,26 @@ class TestSampleCloud:
 
 
 class TestCrossBlockDraws:
-    """sha256 of _batch_sizes where the draws span several 4,000,000-point
-    blocks. The comonotone and countermonotone sizes are fixed by the law
-    (1 and n), so those two cases check the scan's bookkeeping; the
-    independent and gaussian ones pin the draw layout itself."""
+    """sha256 of _batch_sizes where the draws span many sub-blocks. The
+    comonotone and countermonotone sizes are fixed by the law (1 and n), so
+    those two cases check the scan's bookkeeping; the independent and
+    gaussian ones pin the draws themselves."""
 
     @pytest.mark.parametrize(
         "kind, n, trials, seed, want",
         [
-            # blocks of 800 + 1 clouds of 5000 points
+            # 15 sub-blocks of 52 clouds of 5000 points, then 21 clouds
             (INDEP, 5000, 801, 12,
-             "8e741f5f5165358f8314dc18aae9df0eb4dc3ae88d3fcd1de7eb100545040d88"),
+             "bb06f2b9b08b16bc3e04f4a2497f5b2c9adbdf375893fd76702e63c752a37068"),
             (CopulaKind("comonotone"), 5000, 801, 12,
              "649390eeb97eb999b2ca5ac43be41056afaf247b1de1da5b542947ef4836c127"),
             (CopulaKind("countermonotone"), 5000, 801, 12,
              "4329f2563b107046cf3cdec1a593958bc2dd5fd4dba3152c3f54145d3537875b"),
             (CopulaKind("gaussian", -0.4), 5000, 801, 12,
              "f2c7464c28b6ad650b39331f231ccbf23ce8ee4412f0a1922b52ff465da2c21e"),
-            # blocks of 13 + 1 clouds, each larger than 2**18 points
+            # 14 clouds, each larger than a sub-block of 2**18 points
             (INDEP, 300_000, 14, 13,
-             "2d959fd9ca46eade24ffc48629d14dc282422ec89760c954614c84de19d47507"),
+             "777e00d74bc7bc7e17fe46c7f72f5c879cb08bef8388adb239586ffb2f846d01"),
         ],
         ids=["independent", "comonotone", "countermonotone", "gaussian",
              "independent-large"],
@@ -110,6 +110,24 @@ class TestCrossBlockDraws:
 
 
 class TestSubBlocks:
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 5000])
+    def test_independent_clouds_are_drawn_in_turn(self, n):
+        """Each cloud is rng.random((2, n)): its u, then its v. For n <= 3
+        a sub-block keeps over half its points and is scanned whole, on
+        the strided views of one (s, 2, n) draw."""
+        trials, seed = 120, 9
+        rng = np.random.default_rng(seed)
+        want = [pareto_size(rng.random((2, n)).T) for _ in range(trials)]
+        sizes = _batch_sizes(INDEP, n, trials, seed)
+        assert sizes.tolist() == want
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.tag)
+    def test_sizes_do_not_depend_on_the_sub_block(self, kind, monkeypatch):
+        want = _batch_sizes(kind, 300, 50, 6)
+        for points in (1, 299, 300, 301, 7 * 300 + 1, 1 << 20):
+            monkeypatch.setattr(dibmap.scaling, "CLOUD_BLOCK_POINTS", points)
+            assert _batch_sizes(kind, 300, 50, 6).tolist() == want.tolist()
+
     @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.tag)
     def test_sub_blocks_are_bounded_and_cover_every_cloud(self, kind):
         rng = np.random.default_rng(0)
