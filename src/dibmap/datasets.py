@@ -44,6 +44,9 @@ class GroupTable:
     table: np.ndarray
 
     def __post_init__(self):
+        # casting would truncate a float entry or accept bools
+        if np.asarray(self.table).dtype.kind not in "iu":
+            raise ValueError(f"table must hold integers, got {self.table!r}")
         table = np.asarray(self.table, dtype=np.int64)
         g = len(self.labels)
         if table.shape != (g, g):

@@ -23,7 +23,7 @@ INFO_TOL = 1e-9
 def xlog2x(a: np.ndarray) -> np.ndarray:
     """Elementwise a * log2(a) with 0*log2(0) = 0."""
     a = np.asarray(a, dtype=float)
-    out = np.zeros_like(a)
+    out = np.zeros(a.shape)
     np.log2(a, out=out, where=a > 0)
     out *= a
     return out
@@ -180,7 +180,12 @@ def sampling_ratio(joint: JointPMF, s: int) -> float:
 
 
 def trials_for_ratio(joint: JointPMF, r: float) -> int:
-    """Smallest sample count s (>= 1) whose sampling ratio is about r."""
+    """Smallest sample count s (>= 1) whose sampling ratio is about r.
+
+    r is the ratio s / 2^H(X, Y), positive and finite.
+    """
+    if isinstance(r, bool) or not 0 < r < np.inf:  # also rejects NaN
+        raise ValueError(f"ratio r must be positive and finite, got {r!r}")
     return max(1, round(r * 2.0 ** entropy(joint.p)))
 
 

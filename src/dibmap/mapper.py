@@ -73,8 +73,8 @@ class SearchConfig:
     seed: int
 
     def __post_init__(self):
-        if not self.epsilon >= 0:  # also rejects NaN
-            raise ValueError("epsilon must be >= 0")
+        if isinstance(self.epsilon, bool) or not self.epsilon >= 0:  # also rejects NaN
+            raise ValueError(f"epsilon must be a number >= 0, got {self.epsilon!r}")
         check_seed(self.seed)
 
 
@@ -246,11 +246,21 @@ def _push(labels: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
 
 def _objectives(pushed: np.ndarray, hy):
     """Batched (-H(Z), I(Z;Y)) of (K, m, ny) pushed matrices; hy is H(Y),
-    one value or one per matrix. All-zero clusters contribute nothing."""
-    hz = np.maximum(-xlog2x(pushed.sum(axis=2)).sum(axis=1), 0.0)
+    one value or one per matrix. All-zero clusters contribute nothing.
+
+    This is the one from-scratch reduction of pushed cells. Each matrix's
+    cell terms and its mass terms are summed in ascending order, one row
+    per matrix, so a matrix gives the same floats in any batch of its shape,
+    and two matrices with equal multisets of cells give equal floats.
+    """
     k, m, ny = pushed.shape
-    hzy = -xlog2x(pushed.reshape(k, m * ny)).sum(axis=1)
-    return -hz, np.maximum(hz + hy - hzy, 0.0)
+    cells = xlog2x(pushed.reshape(k, m * ny))
+    masses = xlog2x(pushed.sum(axis=2))
+    cells.sort(axis=1)
+    masses.sort(axis=1)
+    hz = np.maximum(-masses.sum(axis=1), 0.0)
+    # cells.sum is -H(Z, Y)
+    return -hz, np.maximum(hz + hy + cells.sum(axis=1), 0.0)
 
 
 def _merged_row_sums(q: np.ndarray, parent, i_idx, j_idx) -> np.ndarray:
@@ -265,20 +275,6 @@ def _merged_row_sums(q: np.ndarray, parent, i_idx, j_idx) -> np.ndarray:
     return row.sum(axis=1)[parent] - row[parent, i_idx] - row[parent, j_idx] + fold
 
 
-def _entropies(buf: np.ndarray, cells: int) -> tuple[float, float]:
-    """-sum xlog2x over buf[:cells] and over buf[cells:], each summed in
-    ascending order, so equal multisets of terms give equal floats.
-
-    The evaluators pool a clustering's joint cells and its cluster masses
-    in one flat buffer: one xlog2x for both, two in-place sorts.
-    """
-    terms = xlog2x(buf)
-    joint, masses = terms[:cells], terms[cells:]
-    joint.sort()
-    masses.sort()
-    return -float(joint.sum()), -float(masses.sum())
-
-
 class _JointEvaluator:
     """(x, y) = (-H(f(X)), I(f(X); Y)) for clusterings of a fixed joint."""
 
@@ -286,18 +282,19 @@ class _JointEvaluator:
         self.rows = joint.p
         self.n = joint.nx
         self.hy = float(-xlog2x(joint.marginal_y()).sum())
+        # cell_index[z] are the flat indices of cluster z's cells in a pushed matrix
+        self.cell_index = np.arange(self.rows.size).reshape(self.rows.shape)
 
     def evaluate(self, labels) -> tuple[float, float]:
-        """Objectives of one clustering, from scratch and path-independent."""
+        """Objectives of one clustering, from scratch and path-independent.
+
+        bincount adds each cell's rows in input order, as _push does.
+        """
         idx = np.frombuffer(bytes(labels), dtype=np.uint8)
         m, ny = int(idx.max()) + 1, self.rows.shape[1]
-        buf = np.zeros(m * (ny + 1))  # the (m, ny) cells, then their m masses
-        pushed = buf[: m * ny].reshape(m, ny)
-        np.add.at(pushed, idx, self.rows)
-        pushed.sum(axis=1, out=buf[m * ny :])
-        hzy, hz = _entropies(buf, m * ny)
-        hz = max(0.0, hz)
-        return -hz, max(0.0, hz + self.hy - hzy)
+        pushed = np.bincount(self.cell_index[idx].ravel(), self.rows.ravel(), m * ny)
+        x, y = _objectives(pushed.reshape(1, m, ny), self.hy)
+        return float(x[0]), float(y[0])
 
     def merge_objectives(self, parents: np.ndarray, parent, i_idx, j_idx):
         """Objectives of the children merging clusters i < j of parents[parent].

@@ -18,11 +18,13 @@ whose corner (x + delta, y + delta) the frontier so far weakly dominates:
 nearly all rows of a random joint. It sums the same floats as
 mapper._objectives in another order, and delta is a summation error bound
 (_screen_slack), so each dropped row is dominated exactly too. The rows
-left are scored by the batched plain kernel the bootstrap also uses,
-mapper._objectives(_push(...)), and merged with the frontier so far, held
-as arrays, by one pareto_mask, which also drops the rows that frontier
-weakly dominates. The final frontier's encoders are checked canonical as
-one array.
+left are scored exactly in one batch per cluster count m,
+mapper._objectives(_push(rows, p, m)): the one from-scratch reduction the
+search's evaluate and the bootstrap also use, so every partition gets the
+floats the search gives it, exact ties included. They are merged with the
+frontier so far, held as arrays, by one pareto_mask, which also drops the
+rows that frontier weakly dominates. The final frontier's encoders are
+checked canonical as one array.
 """
 
 from __future__ import annotations
@@ -105,8 +107,8 @@ def _rgs_blocks(n: int) -> Iterator[np.ndarray]:
 
 def _block_objectives(levels, srcs, p: np.ndarray, hy: float):
     """Screening values (sx, sy) of a group's block (see _rgs_groups): they
-    lie within _screen_slack(n, ny) of every row's
-    mapper._objectives(_push(block, p, n), hy).
+    lie within _screen_slack(n, ny) of the exact objectives of every row of
+    m clusters, mapper._objectives(_push(rows, p, m), hy).
 
     The prefixes are pushed once, padded to n clusters, with their row sums
     of xlog2x terms and their mass terms. Each later position rebuilds,
@@ -155,8 +157,11 @@ def _screen_slack(n: int, ny: int) -> float:
 
     The screen and mapper._objectives sum the same floats, xlog2x of the
     same cells and of the same masses; only the order of the sums differs.
-    Each sum adds at most N = (n + 4) ny terms t: the prefix's n clusters,
-    two replaced clusters subtracted and two rebuilt ones added. Any order
+    The exact stage pushes each row to its own c <= n clusters, so its sums
+    have at most n ny terms, and the bound below, with N only shrinking,
+    covers them too. Each sum adds at most N = (n + 4) ny terms t: the
+    screen's prefix padded to n clusters, two replaced clusters subtracted
+    and two rebuilt ones added. Any order
     of summing N terms errs from their exact sum by at most
     gamma_N sum |t|, gamma_N = N u / (1 - N u), u = 2^-53 (Higham, Accuracy
     and Stability of Numerical Algorithms, 2nd ed., section 4.2). Those
@@ -191,7 +196,10 @@ def brute_force_frontier(joint: JointPMF) -> ParetoSet:
     A row whose screening corner (sx + delta, sy + delta) the frontier so
     far weakly dominates is dropped first: delta bounds the screen's error
     (_screen_slack), so that row's exact (x, y) is dominated too, and only
-    the rest are scored exactly. Each block's rows follow the frontier's,
+    the rest are scored exactly, in one mapper._objectives batch per cluster
+    count m <= n. That stage sums fewer terms than the screen, so delta
+    still covers it, and its values are those of the search's evaluate.
+    Each block's rows follow the frontier's,
     which come earlier in lex order, and pareto_mask keeps the first of
     exact duplicates, so the merge drops every row the frontier so far
     weakly dominates, and the points and their representatives are those
@@ -208,10 +216,16 @@ def brute_force_frontier(joint: JointPMF) -> ParetoSet:
     labels = np.empty((0, n), dtype=np.uint8)
     for levels, srcs in _rgs_groups(n):
         sx, sy = _block_objectives(levels, srcs, joint.p, hy)
-        rows = np.flatnonzero(~weakly_dominated(xs, ys, sx + delta, sy + delta))
-        bx, by = _objectives(_push(levels[-1][rows], joint.p, n), hy)
+        block = levels[-1][~weakly_dominated(xs, ys, sx + delta, sy + delta)]
+        # a row's first m clusters of the padded push are _push(row, p, m)
+        pushed = _push(block, joint.p, n)
+        bx, by = np.empty(len(block)), np.empty(len(block))
+        ms = block.max(axis=1) + 1
+        for m in np.unique(ms).tolist():
+            at = ms == m
+            bx[at], by[at] = _objectives(pushed[at, :m], hy)
         xs, ys = np.concatenate((xs, bx)), np.concatenate((ys, by))
-        labels = np.concatenate((labels, levels[-1][rows]))
+        labels = np.concatenate((labels, block))
         keep = np.flatnonzero(pareto_mask(np.column_stack((xs, ys))))
         # ascending x, so the next pareto_mask sorts mostly sorted rows
         keep = keep[np.argsort(xs[keep], kind="stable")]

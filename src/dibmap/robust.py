@@ -17,9 +17,12 @@ depends only on the seed.
 The frontier's encoders are reduced in batches of one cluster count m:
 each batch pushes its encoders against every replicate at once, in slices
 of at most _SPREAD_CELLS pushed cells, and takes its objectives and standard
-deviations in one call each. Every matrix and every row of a slice has the
-shape of a one-encoder batch, so each point's (dx, dy) is bit for bit what
-reducing it alone gives.
+deviations in one call each. The objectives come from mapper._objectives,
+the reduction the search and the oracle also use, which sums each matrix's
+terms in ascending order, so each point's (dx, dy) is bit for bit what
+reducing it alone gives. H(Y) is taken once per replicate, its terms also
+summed in ascending order. A constant encoder's one cluster holds the
+replicate's Y marginal bit for bit, so its H(Z, Y) and H(Y) cancel exactly.
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ class RobustConfig(SearchConfig):
     def __post_init__(self):
         super().__post_init__()
         _check_reps(self.bootstrap_reps, "bootstrap_reps")
-        if not 0 < self.z < math.inf:  # also rejects NaN
-            raise ValueError("z must be positive and finite")
+        if isinstance(self.z, bool) or not 0 < self.z < math.inf:  # also rejects NaN
+            raise ValueError(f"z must be positive and finite, got {self.z!r}")
 
 
 def bootstrap_uncertainty(
@@ -98,9 +101,11 @@ def _spreads(arr: np.ndarray, encoders) -> np.ndarray:
 
     The encoders of one cluster count m are pushed together, as a
     (k, reps, m, ny) array of k encoders' pushed replicates, and reduced
-    as the k * reps matrices `_objectives` takes.
+    as the k * reps matrices `_objectives` takes, against each replicate's
+    H(Y).
     """
     reps, _, ny = arr.shape
+    hy = -np.sort(xlog2x(arr.sum(axis=1)), axis=1).sum(axis=1)
     out = np.empty((len(encoders), 2))
     by_m: dict[int, list[int]] = {}
     for i, f in enumerate(encoders):
@@ -112,7 +117,7 @@ def _spreads(arr: np.ndarray, encoders) -> np.ndarray:
             k = len(idx)
             labels = np.array([encoders[i].assignment for i in idx])[:, None]
             pushed = _push(labels, arr, m).reshape(k * reps, m, ny)
-            xs, ys = _objectives(pushed, -xlog2x(pushed.sum(axis=1)).sum(axis=1))
+            xs, ys = _objectives(pushed, np.tile(hy, k))
             out[idx, 0] = np.std(xs.reshape(k, reps), axis=1, ddof=1)
             out[idx, 1] = np.std(ys.reshape(k, reps), axis=1, ddof=1)
     return out

@@ -17,7 +17,7 @@ import numpy as np
 from .distributions import _check_pmf, xlog2x
 from .encoders import Encoder
 from .errors import DimensionMismatchError, InvalidDistributionError
-from .mapper import SearchConfig, SearchStats, _entropies, _onehot, _run_search
+from .mapper import SearchConfig, SearchStats, _objectives, _onehot, _run_search
 from .pareto import ParetoSet
 
 
@@ -78,25 +78,20 @@ class _TripleEvaluator:
         self.n = triple.g
         self.hy = float(-xlog2x(self.p.sum(axis=(0, 1))).sum())
 
-    def _cells(self, labels: np.ndarray, out=None) -> np.ndarray:
-        """(P, m, m, ny) triples q[z1, z2, y] of P encoders' label strings,
-        written into out if given."""
+    def _cells(self, labels: np.ndarray) -> np.ndarray:
+        """(P, m, m, ny) triples q[z1, z2, y] of P encoders' label strings."""
         onehot = _onehot(labels)  # (P, z, x)
         count, m, g = onehot.shape
         t = (onehot @ self.p.reshape(g, -1)).reshape(count, m, g, -1)  # (P, z1, x2, y)
-        return np.matmul(onehot[:, None], t, out=out)
+        return onehot[:, None] @ t
 
     def evaluate(self, labels) -> tuple[float, float]:
-        """Objectives of one encoder, from scratch and path-independent."""
+        """Objectives of one encoder, from scratch and path-independent: the
+        plain objectives of its (m * m, ny) cells, with x halved."""
         idx = np.frombuffer(bytes(labels), dtype=np.uint8)
-        m, ny = int(idx.max()) + 1, self.p.shape[2]
-        cells = m * m * ny
-        buf = np.empty(cells + m * m)  # the (m, m, ny) cells, then their masses
-        q = self._cells(idx[None], out=buf[:cells].reshape(1, m, m, ny))[0]
-        q.sum(axis=2, out=buf[cells:].reshape(m, m))
-        hzy, hz = _entropies(buf, cells)
-        hz = max(0.0, hz)
-        return -hz / 2.0, max(0.0, hz + self.hy - hzy)
+        q = self._cells(idx[None])
+        x, y = _objectives(q.reshape(1, -1, q.shape[3]), self.hy)
+        return float(x[0]) / 2.0, float(y[0])
 
     def merge_objectives(self, parents: np.ndarray, parent, i_idx, j_idx):
         """Objectives of the children merging clusters i < j of parents[parent]."""

@@ -246,9 +246,9 @@ class TestGoldenOutputs:
         [
             (["robust-map", "--counts", "counts.csv", "--epsilon", "0.05",
               "--seed", "4", "--bootstrap-reps", "10"],
-             "ea931077a51c872298aa59635a9ee8c9c78f059ef60244d295770a72a5dd3975"),
+             "57b5f8a0458d497ba4073294b800ae421b79c8dcf5ea60dd07b6b0d202078487"),
             (["oracle", "--pmf", "joint.csv", "--candidate", "candidate.json"],
-             "d7d90d31a5dd1a1493b80d3416e774661b062f4ae440445f9fdf9264cd583780"),
+             "ea8bcaa598d7346b2f786ec2297573e39c6d9e6ab6508b6ecb018202a3cc2997"),
             (["map", "--pmf", "joint.csv", "--epsilon", "0.05", "--seed", "2",
               "--format", "csv"],
              "bfdeab85ae54344c2128a9abbd48ef246132aa7e90661696e442080db545aa56"),

@@ -99,6 +99,14 @@ class TestMakeGroup:
                 got = to_matrix(g.labels[g.table[a, b]])
                 assert np.allclose(want, got), (g.labels[a], g.labels[b])
 
+    @pytest.mark.parametrize(
+        "table", [[[0, 1.5], [1, 0]], [[0.0, 1.0], [1.0, 0.0]], [[False, True], [True, False]]]
+    )
+    def test_non_integer_table_rejected(self, table):
+        # casting would truncate 1.5 to 1 and accept the table
+        with pytest.raises(ValueError, match="table"):
+            GroupTable(("a", "b"), table)
+
     def test_latin_square_validation(self):
         with pytest.raises(ValueError):
             GroupTable(("e", "a"), np.array([[0, 1], [0, 1]]))

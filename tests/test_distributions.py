@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from dibmap import (
     push_forward,
     sample_simplex,
     sampling_ratio,
+    trials_for_ratio,
 )
 from dibmap.errors import DimensionMismatchError
 
@@ -164,6 +166,16 @@ class TestPushForward:
 
 
 class TestSampling:
+    def test_trials_for_ratio(self):
+        joint = JointPMF(np.full((2, 2), 0.25))  # 2^H = 4
+        assert trials_for_ratio(joint, 2.5) == 10
+        assert trials_for_ratio(joint, 0.01) == 1
+
+    @pytest.mark.parametrize("r", [math.inf, -1.0, 0.0, math.nan, True])
+    def test_bad_ratio_rejected(self, r):
+        with pytest.raises(ValueError, match="ratio r"):
+            trials_for_ratio(JointPMF(np.full((2, 2), 0.25)), r)
+
     def test_simplex_trivial(self):
         np.testing.assert_array_equal(sample_simplex(1, 1, 3).p, [[1.0]])
 

@@ -158,6 +158,12 @@ class TestParetoMapper:
         with pytest.raises(ValueError):
             SearchConfig(epsilon=math.nan, seed=0)
 
+    @pytest.mark.parametrize("epsilon", [True, False])
+    def test_bool_epsilon_rejected(self, epsilon):
+        # a bool would reach the JSON meta as "epsilon": true
+        with pytest.raises(ValueError, match="epsilon"):
+            SearchConfig(epsilon, 0)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, False, "3", None, np.int64(-2)])
     def test_bad_seed_rejected(self, seed):
         # numpy would refuse these only once the search draws
@@ -394,16 +400,22 @@ class TestMergeObjectives:
             child = _merge_table(i_idx[k : k + 1], j_idx[k : k + 1], int(lab.max()) + 1)[0][lab]
             assert child.tobytes() == key
             keys.append(key)
-        # the oracle's kernel, on the same children padded to n clusters
+        # the oracle's kernel, on the same children in one batch per cluster count
         block = np.frombuffer(b"".join(keys), dtype=np.uint8).reshape(-1, n)
-        bx, by = _objectives(_push(block, joint.p, n), ev.hy)
+        exact = {}
+        ms = block.max(axis=1)
+        for m in set(ms.tolist()):
+            rows = block[ms == m]
+            bx, by = _objectives(_push(rows, joint.p, m + 1), ev.hy)
+            exact.update(zip(map(bytes, rows), zip(bx.tolist(), by.tolist())))
         for k, key in enumerate(keys):
+            x, y = ev.evaluate(key)
+            assert exact[key] == (x, y)
             pushed = push_forward(joint, Encoder(tuple(key)))
             closed = (-entropy(pushed.marginal_x()), mutual_information(pushed))
-            for x, y in (ev.evaluate(key), closed):
-                for u, v in ((xs[k], ys[k]), (bx[k], by[k])):
-                    assert u == pytest.approx(x, abs=1e-12)
-                    assert v == pytest.approx(y, abs=1e-12)
+            for u, v in ((xs[k], ys[k]), closed):
+                assert u == pytest.approx(x, abs=1e-12)
+                assert v == pytest.approx(y, abs=1e-12)
 
     @pytest.mark.parametrize(
         "make_evaluator",
@@ -517,6 +529,59 @@ class TestExactEvaluation:
             want = reference_symmetric(ev, labels)
             for form in (labels, labels.tobytes(), tuple(labels.tolist())):
                 assert ev.evaluate(form) == want
+
+
+def labels_with_m_clusters(rng, n, m, count):
+    """(count, n) random canonical label strings of exactly m clusters."""
+    rows = rng.integers(0, m, size=(count, n))
+    for row in rows:
+        row[rng.permutation(n)[:m]] = np.arange(m)
+    return np.array([canonicalize(r).assignment for r in rows], dtype=np.uint8)
+
+
+class TestKernelInvariance:
+    """_objectives gives every matrix the same floats in any batch of its
+    shape, so the evaluators' from-scratch values are the rows of any
+    one-cluster-count batch, bit for bit."""
+
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 6),
+        st.booleans(), st.booleans(), st.integers(1, 6),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(seed=0, n=9, ny=1, zero_rows=True, dup_rows=True, count=4)
+    def test_batch_rows_equal_evaluate(self, seed, n, ny, zero_rows, dup_rows, count):
+        rng = np.random.default_rng(seed)
+        p = rng.exponential(size=(n, ny))
+        if zero_rows:
+            p[rng.integers(n, size=n // 2)] = 0.0
+        if dup_rows:
+            p[rng.integers(n, size=n // 2)] = p[rng.integers(n)]
+        if p.sum() == 0.0:
+            p[0] = 1.0
+        ev = _JointEvaluator(JointPMF(p / p.sum()))
+        m = int(rng.integers(1, n + 1))
+        block = labels_with_m_clusters(rng, n, m, count)
+        xs, ys = _objectives(_push(block, ev.rows, m), ev.hy)
+        for row, x, y in zip(block, xs.tolist(), ys.tolist()):
+            assert ev.evaluate(row) == (x, y)
+
+        # the symmetric evaluator: the plain objectives of its (m * m, ny)
+        # cells with x halved, here in a batch of encoders
+        g = min(n, 6)
+        t = rng.exponential(size=(g, g, ny))
+        if zero_rows:
+            t[rng.integers(g)] = 0.0
+        if dup_rows:
+            t[:, rng.integers(g)] = t[:, rng.integers(g)]
+        if t.sum() == 0.0:
+            t[:] = 1.0
+        tev = _TripleEvaluator(dm.TripleJointPMF(t / t.sum()))
+        m = min(m, g)
+        block = labels_with_m_clusters(rng, g, m, count)
+        xs, ys = _objectives(tev._cells(block).reshape(count, m * m, ny), tev.hy)
+        for row, x, y in zip(block, xs.tolist(), ys.tolist()):
+            assert tev.evaluate(row) == (x / 2.0, y)
 
 
 class TestDmcPoints:

@@ -22,7 +22,7 @@ from dibmap import (
 )
 from dibmap.distributions import xlog2x
 from dibmap.encoders import canonicalize
-from dibmap.mapper import _objectives, _push
+from dibmap.mapper import _JointEvaluator, _objectives, _push
 from dibmap.oracle import (
     BLOCK_ROWS,
     SCORE_BLOCK,
@@ -99,6 +99,27 @@ def repeated_row_joint():
     return JointPMF(p / p.sum())
 
 
+def offer_every_partition(joint):
+    """(x, y, encoder) of every partition, scored by the search's evaluate,
+    offered to a ParetoSet in lex order."""
+    evaluate = _JointEvaluator(joint).evaluate
+    offered = ParetoSet()
+    for e in enumerate_partitions(joint.nx):
+        offered.add(ParetoPoint(*evaluate(e.assignment), encoder=e))
+    return [(p.x, p.y, p.encoder) for p in offered]
+
+
+def exact_objectives(block, p, hy):
+    """The oracle's exact stage on every row of a block: one
+    _objectives(_push(...)) batch per cluster count."""
+    xs, ys = np.empty(len(block)), np.empty(len(block))
+    ms = block.max(axis=1)
+    for m in set(ms.tolist()):
+        at = ms == m
+        xs[at], ys[at] = _objectives(_push(block[at], p, m + 1), hy)
+    return xs, ys
+
+
 class TestBruteForceFrontier:
     def test_two_by_two_diag(self):
         frontier = brute_force_frontier(JointPMF(np.diag([0.5, 0.5])))
@@ -152,32 +173,35 @@ class TestBruteForceFrontier:
         # every partition offered, unfiltered, in lex order; diag9 keeps all
         # B(9) = 21,147, so later blocks merge into a frontier larger than them
         joint = make_joint()
-        hy = float(-xlog2x(joint.marginal_y()).sum())
-        full = ParetoSet()
-        for block in _rgs_blocks(joint.nx):
-            xs, ys = _objectives(_push(block, joint.p, joint.nx), hy)
-            for labels, x, y in zip(block.tolist(), xs.tolist(), ys.tolist()):
-                full.add(ParetoPoint(x, y, encoder=dm.Encoder(tuple(labels))))
         got = [(p.x, p.y, p.encoder) for p in brute_force_frontier(joint)]
-        assert got == [(p.x, p.y, p.encoder) for p in full]
+        assert got == offer_every_partition(joint)
+
+
+def tied_joint(seed: int) -> JointPMF:
+    """n = 5..8 rows drawn from three exponential rows: many partitions
+    with different cells tie exactly in (x, y)."""
+    rng = np.random.default_rng(seed)
+    n, ny = rng.integers(5, 9), rng.integers(2, 6)
+    base = rng.exponential(size=(3, ny))
+    p = base[rng.integers(0, 3, size=n)]
+    return JointPMF(p / p.sum())
+
+
+class TestSearchAgreesOnTies:
+    def test_infinite_epsilon_search_gives_the_oracle_points(self):
+        # the search at eps = inf offers every partition; both score them
+        # with one reduction, so exact ties are decided alike
+        for name, joint in [*((s, tied_joint(s)) for s in range(40)),
+                            ("repeated-rows", repeated_row_joint())]:
+            search, _ = dm.pareto_mapper(joint, dm.SearchConfig(math.inf, 1))
+            want = [(p.x, p.y) for p in brute_force_frontier(joint)]
+            assert [(p.x, p.y) for p in search] == want, name
 
 
 class TestMergePrefilter:
     """Each merge drops the block rows the frontier so far weakly dominates,
     exact ties to the frontier's earlier representative; with small blocks
     that happens at many block boundaries."""
-
-    @staticmethod
-    def offer_every_partition(joint):
-        """(x, y, encoder) of every partition offered to a ParetoSet in lex order."""
-        hy = float(-xlog2x(joint.marginal_y()).sum())
-        encoders = list(enumerate_partitions(joint.nx))
-        labels = np.array([e.assignment for e in encoders], dtype=np.uint8)
-        xs, ys = _objectives(_push(labels, joint.p, joint.nx), hy)
-        offered = ParetoSet()
-        for e, x, y in zip(encoders, xs.tolist(), ys.tolist()):
-            offered.add(ParetoPoint(x, y, encoder=e))
-        return [(p.x, p.y, p.encoder) for p in offered]
 
     @pytest.mark.parametrize("n", [5, 6, 7])
     def test_exact_ties_keep_the_lex_first_representative(self, monkeypatch, n):
@@ -186,19 +210,30 @@ class TestMergePrefilter:
         joint = JointPMF(p / p.sum())
         monkeypatch.setattr(dm.oracle, "BLOCK_ROWS", 16)
         # one block per prefix of n - 2 labels
-        assert len(list(_rgs_groups(n))) == bell_number(n - 2)
-        scored = []
+        groups = list(_rgs_groups(n))
+        assert len(groups) == bell_number(n - 2)
+        scored = []  # (block, cluster count, rows) of each exact-stage batch
+
+        def numbered_groups(n):
+            for k, group in enumerate(groups):
+                scored.append((k, None, 0))
+                yield group
 
         def objectives(pushed, hy):
-            scored.append(len(pushed))
+            scored.append((scored[-1][0], pushed.shape[1], len(pushed)))
             return _objectives(pushed, hy)
 
+        monkeypatch.setattr(dm.oracle, "_rgs_groups", numbered_groups)
         monkeypatch.setattr(dm.oracle, "_objectives", objectives)
         got = [(p.x, p.y, p.encoder) for p in brute_force_frontier(joint)]
-        assert got == self.offer_every_partition(joint)
+        assert got == offer_every_partition(joint)
         assert len(got) < bell_number(n)
+        batches = [(k, m, rows) for k, m, rows in scored if m is not None]
+        # each batch holds rows of one cluster count, one batch per count
+        assert all(rows > 0 for _, _, rows in batches)
+        assert len({(k, m) for k, m, _ in batches}) == len(batches)
         # the screen drops some block whole: its exact stage gets no rows
-        assert len(scored) == bell_number(n - 2) and 0 in scored
+        assert {k for k, _, _ in batches} < set(range(len(groups)))
 
     @pytest.mark.parametrize(
         "make_joint",
@@ -211,7 +246,7 @@ class TestMergePrefilter:
         joint = make_joint()
         monkeypatch.setattr(dm.oracle, "BLOCK_ROWS", 16)
         got = [(p.x, p.y, p.encoder) for p in brute_force_frontier(joint)]
-        assert got == self.offer_every_partition(joint)
+        assert got == offer_every_partition(joint)
 
 
 def kernel_joint(n, ny, kind, seed) -> np.ndarray:
@@ -240,7 +275,7 @@ class TestPrefixKernel:
             for level, src, longer in zip(levels, srcs, levels[1:]):
                 np.testing.assert_array_equal(longer[:, :-1], level[src])
             sx, sy = _block_objectives(levels, srcs, p, hy)
-            x, y = _objectives(_push(levels[-1], p, n), hy)
+            x, y = exact_objectives(levels[-1], p, hy)
             assert sx.shape == sy.shape == (len(levels[-1]),)
             assert np.all(np.abs(sx - x) <= delta) and np.all(np.abs(sy - y) <= delta)
 
@@ -281,7 +316,7 @@ class TestScreen:
         so_far = ParetoSet()
         for levels, srcs in groups:
             sx, sy = _block_objectives(levels, srcs, p, hy)
-            x, y = _objectives(_push(levels[-1], p, n), hy)
+            x, y = exact_objectives(levels[-1], p, hy)
             assert np.all(np.abs(sx - x) <= delta) and np.all(np.abs(sy - y) <= delta)
             rows = zip((sx + delta).tolist(), (sy + delta).tolist(), x.tolist(), y.tolist())
             for cx, cy, xi, yi in rows:
@@ -315,13 +350,13 @@ class TestGoldenFrontier:
         "make_joint, want",
         [
             (lambda: sample_simplex(9, 5, 3),
-             "0e54b6c0a0c22a8ed55e879b7984a5c8db88e2439d14cbaa5e97c600bdcb5451"),
+             "896aea75598091ac63734af91387ee7063bab10d590cc3d7c841f4e8fd8e590b"),
             (lambda: sample_simplex(11, 1, 5),
              "4b1645a6721d316c765d62bb1fa38b9397c0d5f7b7fb7949d80cefe8766e7d11"),
             (lambda: sample_simplex(11, 30, 5),
-             "db411378ce755c3063cedfd84fce6552fe16cd3498cb420110c57307f46c0d13"),
+             "a57b6ba6823720edf48cb0e6ceee1f3a22f47502f329741b2f24f58bf0494e18"),
             (repeated_row_joint,
-             "606229077169f200376393a147024af63017b2ccc3b8006cb25e36315e71af8b"),
+             "3437bdc60c5019661d429b656884d992ff44fdb54045b1048199c89dfe341b27"),
         ],
         ids=["9x5", "11x1", "11x30", "repeated-rows-10x3"],
     )

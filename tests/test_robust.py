@@ -35,10 +35,12 @@ def point(x, y, dx, dy):
 
 def spread_one(arr, f):
     """Reference bootstrap reduction: one encoder against the replicates
-    arr, alone, through _push, _objectives and np.std."""
+    arr, alone, through _push, _objectives and np.std, with each
+    replicate's H(Y) summed in ascending order."""
     labels = np.broadcast_to(np.asarray(f.assignment), (len(arr), f.n))
     pushed = _push(labels, arr, f.m)
-    xs, ys = _objectives(pushed, -xlog2x(pushed.sum(axis=1)).sum(axis=1))
+    hy = [-np.sort(xlog2x(py)).sum() for py in arr.sum(axis=1)]
+    xs, ys = _objectives(pushed, np.array(hy))
     return float(np.std(xs, ddof=1)), float(np.std(ys, ddof=1))
 
 
@@ -237,6 +239,10 @@ class TestRobustParetoMapper:
     def test_non_finite_z_rejected(self, z):
         with pytest.raises(ValueError):
             RobustConfig(0.1, 0, z=z)
+
+    def test_bool_z_rejected(self):
+        with pytest.raises(ValueError, match="z must"):
+            RobustConfig(0.0, 0, z=True)
 
     @pytest.mark.parametrize("epsilon", [-1.0, math.nan, -math.inf])
     def test_bad_epsilon_rejected(self, epsilon):
