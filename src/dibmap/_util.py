@@ -26,17 +26,22 @@ def check_seed(seed) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
-def as_integer(name: str, value) -> int:
-    """value as an int; ValueError naming `name` unless it is an integer.
+def as_integer(name: str, value, least: int | None = None) -> int:
+    """value as an int; ValueError naming `name` unless it is an integer
+    and, if `least` is given, at least `least`.
 
     A bool is not one, nor is a float, even an integral one: int() would
     truncate it silently.
     """
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            value = operator.index(value)
         except TypeError:
             pass
+        else:
+            if least is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}")
+            return value
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

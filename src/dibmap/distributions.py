@@ -149,9 +149,7 @@ def sample_simplex(nx: int, ny: int, seed: int) -> JointPMF:
     Standard Dirichlet(1, ..., 1) construction: i.i.d. unit-rate exponential
     draws, normalized. Deterministic for a fixed seed.
     """
-    nx, ny = as_integer("nx", nx), as_integer("ny", ny)
-    if nx < 1 or ny < 1:
-        raise ValueError("nx and ny must be at least 1")
+    nx, ny = as_integer("nx", nx, 1), as_integer("ny", ny, 1)
     check_seed(seed)
     rng = np.random.default_rng(seed)
     e = rng.exponential(size=(nx, ny))
@@ -160,9 +158,7 @@ def sample_simplex(nx: int, ny: int, seed: int) -> JointPMF:
 
 def multinomial_sample(joint: JointPMF, s: int, seed: int) -> EmpiricalCounts:
     """Draw s samples from the joint; returns the cell-count matrix."""
-    s = as_integer("sample count s", s)
-    if s < 1:
-        raise ValueError("sample count s must be at least 1")
+    s = as_integer("sample count s", s, 1)
     check_seed(seed)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(s, joint.p.ravel()).reshape(joint.p.shape)
@@ -175,8 +171,11 @@ def normalize_counts(counts: EmpiricalCounts) -> JointPMF:
 
 
 def sampling_ratio(joint: JointPMF, s: int) -> float:
-    """Sample count in units of the joint's effective support, s / 2^H(X,Y)."""
-    return s / 2.0 ** entropy(joint.p)
+    """Sample count in units of the joint's effective support, s / 2^H(X,Y).
+
+    s is an integer >= 1, as multinomial_sample requires.
+    """
+    return as_integer("sample count s", s, 1) / 2.0 ** entropy(joint.p)
 
 
 def trials_for_ratio(joint: JointPMF, r: float) -> int:

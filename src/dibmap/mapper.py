@@ -228,39 +228,37 @@ def _onehot(labels: np.ndarray) -> np.ndarray:
 
 
 def _push(labels: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
-    """(..., m, ny) pushed-forward matrices of label strings.
+    """(K, m, w) pushed-forward matrices of K label strings (K, n) against
+    the rows of one (n, w) matrix.
 
-    labels (..., n) and joints rows (..., n, ny) broadcast in their leading
-    axes: K strings (K, n) against one (n, ny) joint or K joints (K, n, ny)
-    give (K, m, ny); K strings (K, 1, n) against R joints (R, n, ny) give
-    (K, R, m, ny). Each cluster's rows are summed in input order, the
-    arithmetic of push_forward's np.add.at, so the results agree bit for bit.
+    Each cluster's rows are summed in input order, the arithmetic of
+    push_forward's np.add.at, so the results agree bit for bit.
     """
-    batch = np.broadcast_shapes(labels.shape[:-1], rows.shape[:-2])
-    out = np.zeros((*batch, m, rows.shape[-1]))
-    grid = np.indices(batch, sparse=True)
-    for i in range(labels.shape[-1]):
-        out[(*grid, labels[..., i])] += rows[..., i, :]
+    out = np.zeros((len(labels), m, rows.shape[1]))
+    at = np.arange(len(labels))
+    for i in range(labels.shape[1]):
+        out[at, labels[:, i]] += rows[i]
     return out
 
 
 def _objectives(pushed: np.ndarray, hy):
-    """Batched (-H(Z), I(Z;Y)) of (K, m, ny) pushed matrices; hy is H(Y),
-    one value or one per matrix. All-zero clusters contribute nothing.
+    """Batched (-H(Z), I(Z;Y)) of (..., m, ny) pushed matrices; hy is H(Y),
+    one value or one per matrix, broadcast against the leading axes. All-zero
+    clusters contribute nothing.
 
     This is the one from-scratch reduction of pushed cells. Each matrix's
     cell terms and its mass terms are summed in ascending order, one row
     per matrix, so a matrix gives the same floats in any batch of its shape,
     and two matrices with equal multisets of cells give equal floats.
     """
-    k, m, ny = pushed.shape
-    cells = xlog2x(pushed.reshape(k, m * ny))
-    masses = xlog2x(pushed.sum(axis=2))
-    cells.sort(axis=1)
-    masses.sort(axis=1)
-    hz = np.maximum(-masses.sum(axis=1), 0.0)
+    *lead, m, ny = pushed.shape
+    cells = xlog2x(pushed).reshape(*lead, m * ny)
+    masses = xlog2x(pushed.sum(axis=-1))
+    cells.sort(axis=-1)
+    masses.sort(axis=-1)
+    hz = np.maximum(-masses.sum(axis=-1), 0.0)
     # cells.sum is -H(Z, Y)
-    return -hz, np.maximum(hz + hy + cells.sum(axis=1), 0.0)
+    return -hz, np.maximum(hz + hy + cells.sum(axis=-1), 0.0)
 
 
 def _merged_row_sums(q: np.ndarray, parent, i_idx, j_idx) -> np.ndarray:

@@ -96,9 +96,8 @@ def _draw_clouds(kind: CopulaKind, rng, trials: int, n: int):
 
 def sample_cloud(kind: CopulaKind, n: int, seed: int) -> np.ndarray:
     """Draw an (n, 2) cloud with the given dependence; deterministic per seed."""
-    n = as_integer("cloud size", n)
-    if n < 1:
-        raise ValueError("cloud size must be at least 1")
+    n = as_integer("cloud size", n, 1)
+    check_seed(seed)
     u, v = next(_draw_clouds(kind, np.random.default_rng(seed), 1, n))
     return np.column_stack([u[0], v[0]])
 
@@ -210,9 +209,7 @@ def scaling_experiment(
     trials = as_integer("trials", trials)
     if trials < 10:
         raise ValueError("at least 10 trials are required")
-    n_values = [as_integer("cloud size", n) for n in n_values]
-    if any(n < 1 for n in n_values):
-        raise ValueError("cloud size must be at least 1")
+    n_values = [as_integer("cloud size", n, 1) for n in n_values]
     check_seed(seed)
     rows = []
     for n in n_values:
@@ -246,9 +243,7 @@ def dib_frontier_scaling(
     trials = as_integer("trials", trials)
     if trials < 1:
         raise ValueError("at least 1 trial is required")
-    n_values = [as_integer("input size", n) for n in n_values]
-    if any(n < 1 for n in n_values):
-        raise ValueError("input size must be at least 1")
+    n_values = [as_integer("input size", n, 1) for n in n_values]
     ny = as_integer("ny", ny)
     check_seed(seed)
     rows = []

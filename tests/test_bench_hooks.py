@@ -2,8 +2,8 @@
 
 perfbench/spans.py times the layers by rebinding names such as
 dibmap.oracle.xlog2x or dibmap.robust.bootstrap_uncertainty for one traced
-pass. A rename in the package would otherwise surface only in a traced
-benchmark run.
+pass. A rename in the package, or a layer that stops calling through the
+rebound name, would otherwise surface only in a traced benchmark run.
 """
 
 import pathlib
@@ -79,3 +79,18 @@ def test_search_builds_one_encoder_per_frontier_point(spans, kind):
     first, second = ([(p, p.encoder) for p in frontier] for _ in range(2))
     assert len(first) == len(second)
     assert all(p is q and e is f for (p, e), (q, f) in zip(first, second))
+
+
+def test_robust_mapper_bootstraps_through_the_traced_name(spans):
+    # robust_pareto_mapper reaches its search, bootstrap and filter through
+    # the module-level names spans.install rebinds, so one call records one
+    # span of each
+    counts = dibmap.multinomial_sample(dibmap.sample_simplex(6, 4, 2), 400, 3)
+    tracer = spans.Tracer()
+    with spans.install(tracer):
+        _, full, _ = dibmap.robust_pareto_mapper(
+            counts, dibmap.RobustConfig(0.0, seed=7, bootstrap_reps=10)
+        )
+    names = [span[0] for span in tracer.spans]
+    assert [names.count(n) for n in ("mapper", "robust.bootstrap", "robust.filter")] == [1, 1, 1]
+    assert tracer.counters["robust.filter_in"] == len(full)

@@ -249,6 +249,11 @@ class TestSampling:
             s / 2 ** entropy(j.p.ravel()), rel=1e-12
         )
 
+    @pytest.mark.parametrize("s", [-5, 0, 2.5, 3.0, True, "3", None])
+    def test_sampling_ratio_rejects_bad_sample_counts(self, s):
+        with pytest.raises(ValueError, match="sample count s"):
+            sampling_ratio(random_joint(3, 3, 8), s)
+
 
 class TestCounts:
     def test_normalize(self):

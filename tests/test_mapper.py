@@ -316,8 +316,8 @@ class TestRowPermutation:
 
 
 class TestPush:
-    """_push, the oracle's and the bootstrap's push-forward, against
-    push_forward, exactly."""
+    """_push, the oracle's and the bootstrap's push-forward of K label
+    strings against one matrix, against push_forward, exactly."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 5))
     @settings(max_examples=40, deadline=None)
@@ -335,32 +335,33 @@ class TestPush:
             assert np.array_equal(z[: f.m], push_forward(joint, f).p)
             assert not z[f.m :].any()
 
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 5))
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 5),
+        st.integers(1, 6), st.booleans(), st.booleans(),
+    )
     @settings(max_examples=40, deadline=None)
-    def test_one_labeling_many_joints(self, seed, n, ny):
+    @example(seed=0, n=6, ny=2, reps=3, zero_rows=True, dup_rows=True)
+    def test_labelings_against_folded_replicates(self, seed, n, ny, reps, zero_rows, dup_rows):
+        # the bootstrap's form: K strings against R replicates laid side by
+        # side in one (n, R * ny) matrix, the push unfolded to (K, R, m, ny)
         rng = np.random.default_rng(seed)
-        draws = rng.multinomial(300, np.full(n * ny, 1 / (n * ny)), size=7)
-        joints = draws.reshape(7, n, ny) / 300
-        f = canonicalize(rng.integers(0, n, size=n))
-        labels = np.broadcast_to(np.array(f.assignment, dtype=np.uint8), (7, n))
-        pushed = _push(labels, joints, f.m)
-        for p, z in zip(joints, pushed):
-            assert np.array_equal(z, push_forward(JointPMF(p), f).p)
-
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 5))
-    @settings(max_examples=40, deadline=None)
-    def test_labelings_against_shared_joints(self, seed, n, ny):
-        # the bootstrap's form: K strings (K, 1, n) against R joints (R, n, ny)
-        rng = np.random.default_rng(seed)
-        draws = rng.multinomial(300, np.full(n * ny, 1 / (n * ny)), size=4)
-        joints = draws.reshape(4, n, ny) / 300
-        encs = [canonicalize(rng.integers(0, n, size=n)) for _ in range(3)]
+        joints = []
+        for _ in range(reps):
+            p = rng.exponential(size=(n, ny))
+            if zero_rows:
+                p[rng.integers(n, size=n // 2)] = 0.0
+            if dup_rows:
+                p[rng.integers(n, size=n // 2)] = p[rng.integers(n)]
+            if p.sum() == 0.0:
+                p[0] = 1.0
+            joints.append(JointPMF(p / p.sum()))
+        wide = np.stack([j.p for j in joints], axis=1).reshape(n, reps * ny)
+        encs = [canonicalize(rng.integers(0, n, size=n)) for _ in range(4)]
         block = np.array([f.assignment for f in encs], dtype=np.uint8)
-        pushed = _push(block[:, None], joints, n)
-        assert pushed.shape == (3, 4, n, ny)
+        pushed = _push(block, wide, n).reshape(len(encs), n, reps, ny).transpose(0, 2, 1, 3)
         for f, zs in zip(encs, pushed):
-            for p, z in zip(joints, zs):
-                assert np.array_equal(z[: f.m], push_forward(JointPMF(p), f).p)
+            for joint, z in zip(joints, zs):
+                assert np.array_equal(z[: f.m], push_forward(joint, f).p)
                 assert not z[f.m :].any()
 
 
@@ -582,6 +583,29 @@ class TestKernelInvariance:
         xs, ys = _objectives(tev._cells(block).reshape(count, m * m, ny), tev.hy)
         for row, x, y in zip(block, xs.tolist(), ys.tolist()):
             assert tev.evaluate(row) == (x / 2.0, y)
+
+    @given(
+        st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5),
+        st.integers(1, 6), st.integers(1, 12), st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    @example(seed=0, k=2, reps=3, m=4, ny=9, zeros=True)
+    def test_leading_axes_equal_flattened_batch(self, seed, k, reps, m, ny, zeros):
+        # the bootstrap's (k, R, m, ny) batch, as a C-ordered array and as
+        # the transposed view of a (k, m, R, ny) push, reduces as its
+        # (k * R, m, ny) flattening, against one H(Y) per replicate
+        rng = np.random.default_rng(seed)
+        pushed = rng.exponential(size=(k, m, reps, ny))
+        if zeros:
+            pushed[rng.random(pushed.shape) < 0.3] = 0.0
+        view = pushed.transpose(0, 2, 1, 3)
+        hy = rng.uniform(0, 3, size=reps)
+        flat = np.ascontiguousarray(view).reshape(k * reps, m, ny)
+        want = [a.reshape(k, reps) for a in _objectives(flat, np.tile(hy, k))]
+        for batch in (view, np.ascontiguousarray(view)):
+            got = _objectives(batch, hy)
+            assert all(g.shape == (k, reps) for g in got)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestDmcPoints:

@@ -26,7 +26,7 @@ from dibmap import (
 )
 from dibmap._util import derive_seed
 from dibmap.distributions import xlog2x
-from dibmap.mapper import _objectives, _push
+from dibmap.mapper import _objectives
 
 
 def point(x, y, dx, dy):
@@ -35,46 +35,107 @@ def point(x, y, dx, dy):
 
 def spread_one(arr, f):
     """Reference bootstrap reduction: one encoder against the replicates
-    arr, alone, through _push, _objectives and np.std, with each
+    arr, alone, each replicate pushed with np.add.at, as push_forward
+    does, and reduced through _objectives and np.std, with each
     replicate's H(Y) summed in ascending order."""
-    labels = np.broadcast_to(np.asarray(f.assignment), (len(arr), f.n))
-    pushed = _push(labels, arr, f.m)
+    pushed = np.zeros((len(arr), f.m, arr.shape[2]))
+    for z, p in zip(pushed, arr):
+        np.add.at(z, np.asarray(f.assignment), p)
     hy = [-np.sort(xlog2x(py)).sum() for py in arr.sum(axis=1)]
     xs, ys = _objectives(pushed, np.array(hy))
     return float(np.std(xs, ddof=1)), float(np.std(ys, ddof=1))
 
 
+def spread(counts, f, reps, seed):
+    """bootstrap_uncertainty of the one encoder f."""
+    [dxdy] = bootstrap_uncertainty(counts, [f], reps, seed)
+    return dxdy
+
+
 class TestBootstrapUncertainty:
     def test_single_cell_counts_have_zero_spread(self):
         counts = EmpiricalCounts(np.array([[12]]))
-        assert bootstrap_uncertainty(counts, Encoder((0,)), 50, 0) == (0.0, 0.0)
+        assert spread(counts, Encoder((0,)), 50, 0) == (0.0, 0.0)
 
     def test_constant_encoder_has_zero_spread(self):
+        """Exactly 0 for this sample, not for every sample.
+
+        The one cluster's cells are the replicate's Y marginal bit for bit,
+        so H(Z, Y) and H(Y) cancel exactly in every replicate. H(Z) is 0
+        only if the cluster's mass, the sum of the replicate's rounded
+        cells, is exactly 1.0; in each of this sample's 50 replicates it
+        is, as the first assertion checks, so every replicate gives
+        (x, y) = (0, 0). test_constant_encoder_spread_is_rounding_noise
+        covers the samples where it is not.
+        """
         counts = multinomial_sample(sample_simplex(4, 3, 1), 500, 2)
-        dx, dy = bootstrap_uncertainty(counts, Encoder((0, 0, 0, 0)), 50, 3)
+        arr = dibmap.robust._replicates(counts, 50, 3)
+        assert (arr.sum(axis=1).sum(axis=1) == 1.0).all()
+        dx, dy = spread(counts, Encoder((0, 0, 0, 0)), 50, 3)
         assert dx == 0.0 and dy == 0.0
+
+    def test_constant_encoder_spread_is_rounding_noise(self):
+        """A constant encoder's spreads stay below a bound derived from the
+        rounding of the replicate masses; they need not be 0.
+
+        With u = 2^-53 and gamma_n = n u / (1 - n u) (Higham, Accuracy and
+        Stability of Numerical Algorithms, section 3.1), per replicate:
+        - its cells are the counts over the total, each rounded once, so
+          their exact sum is within u of 1;
+        - the cluster's mass s sums them over x, then over y, so
+          |s - 1| <= u + gamma_(nx+ny-2) (1 + u) <= gamma_(nx+ny) = delta;
+        - H(Z) = max(-s log2 s, 0) lies in [0, 1.5 delta]: -s log2 s is
+          negative for s > 1, at most (1 - s) / ln 2 for s < 1, and
+          1 / ln 2 < 1.45 leaves room for the few ulps of computing it;
+          so x = -H(Z) lies in an interval of width 1.5 delta;
+        - the cells' terms are exactly -H(Y)'s, so y is H(Z) + H(Y) - H(Y)
+          with two roundings, within 3 u (H(Y) + H(Z)) of H(Z); each term
+          -c log2 c is at most 1 / (e ln 2) < 0.54, so H(Y) <= 0.54 ny and
+          y lies in an interval of width 1.5 delta + 6 u (0.54 ny + 1.5 delta).
+        The sample standard deviation of R values in an interval of width W
+        is at most W / 2 sqrt(R / (R - 1)); the factor 2 on top covers
+        np.std's own rounding, relative O(R u), with room to spare.
+        """
+        rng = np.random.default_rng(20)
+        u, reps = 2.0**-53, 20
+        nonzero = 0
+        for t in range(200):
+            nx, ny = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+            counts = multinomial_sample(sample_simplex(nx, ny, t), int(rng.integers(10, 5001)), t)
+            delta = (nx + ny) * u / (1 - (nx + ny) * u)
+            wx = 1.5 * delta
+            wy = wx + 6 * u * (0.54 * ny + wx)
+            # W / 2 sqrt(R / (R - 1)), doubled for np.std's rounding
+            scale = math.sqrt(reps / (reps - 1))
+            dx, dy = spread(counts, Encoder((0,) * nx), reps, t)
+            assert 0.0 <= dx <= scale * wx
+            assert 0.0 <= dy <= scale * wy
+            nonzero += (dx, dy) != (0.0, 0.0)
+        # the exact zero of test_constant_encoder_has_zero_spread is the
+        # sample's, not a guarantee
+        assert nonzero > 0
 
     def test_spread_shrinks_with_sample_size(self):
         joint = sample_simplex(4, 3, 7)
         f = Encoder.identity(4)
         small = multinomial_sample(joint, 100, 5)
         large = multinomial_sample(joint, 10_000, 6)
-        dx_s, dy_s = bootstrap_uncertainty(small, f, 100, 11)
-        dx_l, dy_l = bootstrap_uncertainty(large, f, 100, 12)
+        dx_s, dy_s = spread(small, f, 100, 11)
+        dx_l, dy_l = spread(large, f, 100, 12)
         assert dy_l < dy_s
         assert dx_l < dx_s
 
     def test_deterministic(self):
         counts = multinomial_sample(sample_simplex(3, 3, 0), 200, 1)
         f = Encoder((0, 1, 0))
-        assert bootstrap_uncertainty(counts, f, 60, 9) == bootstrap_uncertainty(
-            counts, f, 60, 9
+        assert bootstrap_uncertainty(counts, [f], 60, 9) == bootstrap_uncertainty(
+            counts, [f], 60, 9
         )
 
     def test_rejects_too_few_reps(self):
         counts = EmpiricalCounts(np.array([[3, 1]]))
         with pytest.raises(ValueError):
-            bootstrap_uncertainty(counts, Encoder((0,)), 1, 0)
+            bootstrap_uncertainty(counts, [Encoder((0,))], 1, 0)
 
     @pytest.mark.parametrize(
         "reps, seed",
@@ -90,11 +151,11 @@ class TestBootstrapUncertainty:
         monkeypatch.setattr(dibmap.robust, "_replicates", no_draw)
         counts = EmpiricalCounts(np.array([[3, 1], [2, 2]]))
         with pytest.raises(ValueError, match="reps|seed"):
-            bootstrap_uncertainty(counts, Encoder((0, 1)), reps, seed)
+            bootstrap_uncertainty(counts, [Encoder((0, 1))], reps, seed)
 
     def test_more_than_256_clusters(self):
         counts = EmpiricalCounts(np.ones((300, 2), int))
-        spreads = bootstrap_uncertainty(counts, Encoder.identity(300), 5, 0)
+        spreads = spread(counts, Encoder.identity(300), 5, 0)
         assert len(spreads) == 2 and all(map(math.isfinite, spreads))
 
     @pytest.mark.parametrize(
@@ -103,7 +164,7 @@ class TestBootstrapUncertainty:
     def test_rejects_encoder_of_other_domain(self, assignment):
         counts = EmpiricalCounts(np.array([[3, 1], [2, 2], [1, 4], [5, 0]]))
         with pytest.raises(DimensionMismatchError):
-            bootstrap_uncertainty(counts, Encoder(assignment), 10, 0)
+            bootstrap_uncertainty(counts, [Encoder(assignment)], 10, 0)
 
 
 class TestSignificanceFilter:
@@ -137,6 +198,12 @@ class TestSignificanceFilter:
         ps = ParetoSet([ParetoPoint(-1.0, 1.0)])
         with pytest.raises(ValueError):
             significance_filter(ps, 1.0)
+
+    @pytest.mark.parametrize("z", [-1.0, 0.0, math.nan, math.inf, True])
+    def test_bad_z_rejected(self, z):
+        ps = ParetoSet([point(-1.0, 1.0, 0.1, 0.1)])
+        with pytest.raises(ValueError, match="z must"):
+            significance_filter(ps, z)
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)
@@ -268,8 +335,7 @@ class TestBootstrapPool:
         assert len(full) > 8
         shared = derive_seed(cfg.seed, 0)
         assert [(p.dx, p.dy) for p in full] == [
-            bootstrap_uncertainty(counts, p.encoder, cfg.bootstrap_reps, shared)
-            for p in full
+            spread(counts, p.encoder, cfg.bootstrap_reps, shared) for p in full
         ]
 
     @pytest.mark.parametrize("cells", [48, dibmap.robust._SPREAD_CELLS], ids=["sliced", "default"])
@@ -291,7 +357,7 @@ class TestBootstrapPool:
         counts = multinomial_sample(sample_simplex(6, 4, 2), 300, 5)
         f = Encoder(assignment)
         arr = dibmap.robust._replicates(counts, 30, 11)
-        assert bootstrap_uncertainty(counts, f, 30, 11) == spread_one(arr, f)
+        assert spread(counts, f, 30, 11) == spread_one(arr, f)
 
     def test_import_loads_no_executor(self):
         # concurrent.futures pulls in logging, and both would add to every

@@ -55,6 +55,11 @@ class TestSampleCloud:
             assert a.shape == (50, 2)
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [True, -1, 1.5, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            sample_cloud(INDEP, 50, seed)
+
     def test_comonotone_always_single_maximum(self):
         for seed in range(10):
             cloud = sample_cloud(CopulaKind("comonotone"), 200, seed)
