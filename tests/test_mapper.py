@@ -335,13 +335,27 @@ class TestPush:
             assert np.array_equal(z[: f.m], push_forward(joint, f).p)
             assert not z[f.m :].any()
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_one_labeling_many_joints(self, seed, n, ny):
+        # one string against 7 joints laid side by side in one (n, 7 * ny) matrix
+        rng = np.random.default_rng(seed)
+        draws = rng.multinomial(300, np.full(n * ny, 1 / (n * ny)), size=7)
+        joints = draws.reshape(7, n, ny) / 300
+        f = canonicalize(rng.integers(0, n, size=n))
+        wide = joints.transpose(1, 0, 2).reshape(n, 7 * ny)
+        labels = np.array([f.assignment], dtype=np.uint8)
+        pushed = _push(labels, wide, f.m).reshape(f.m, 7, ny).transpose(1, 0, 2)
+        for p, z in zip(joints, pushed):
+            assert np.array_equal(z, push_forward(JointPMF(p), f).p)
+
     @given(
         st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 5),
         st.integers(1, 6), st.booleans(), st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
     @example(seed=0, n=6, ny=2, reps=3, zero_rows=True, dup_rows=True)
-    def test_labelings_against_folded_replicates(self, seed, n, ny, reps, zero_rows, dup_rows):
+    def test_labelings_against_shared_joints(self, seed, n, ny, reps, zero_rows, dup_rows):
         # the bootstrap's form: K strings against R replicates laid side by
         # side in one (n, R * ny) matrix, the push unfolded to (K, R, m, ny)
         rng = np.random.default_rng(seed)
