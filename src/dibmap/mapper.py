@@ -22,20 +22,25 @@ in parent-aligned slices of about CHUNK_CHILDREN children. Frontier offers
 stay strictly sequential in (parent, merge pair) order, the order of a
 breadth-first queue, and so do the random draws.
 The batched values depend on the merge path in their last bits, so a
-child within INFO_TOL of the frontier is evaluated again from scratch, and
-the offer is decided on that path-independent value: one partition, or
-two with equal multisets of cells, never becomes several frontier points.
-A child's labels are built, through the level's merge table, only where
-they are read: when it is evaluated again, and as a row of the next level
-when it is kept. A child that enters the frontier enters as a bare
-ParetoPoint, its labels kept as bytes in a table keyed by its (x, y); only
-the points that survive the search get an Encoder, when it ends.
+child within INFO_TOL of the frontier is decided on its objectives from
+scratch, a path-independent value: one partition, or two with equal
+multisets of cells, never becomes several frontier points. The children
+of an offer block that its frontier snapshot (below) leaves within reach
+of that distance are scored from scratch together, in one call of the
+evaluator's objectives, before any of them is offered; an offer reads the
+value only where d <= INFO_TOL. A child's labels are built, through the
+level's merge table, only where they are read: for those children, and as
+a row of the next level when it is kept. A child that enters the frontier
+enters as a bare ParetoPoint, its labels kept as bytes in a table keyed by
+its (x, y); only the points that survive the search get an Encoder, when
+it ends.
 
 Most children are far inside the dominated region, so each block of
 OFFER_BLOCK children is first tested against a snapshot of the frontier in
 one batched query. A child is skipped when its corner (x + r, y + r) is
-dominated; its reach r (see _reach) makes such a child provably one the
-offer would neither re-evaluate nor admit, and fixes its keep decision:
+dominated; its reach r (see _reach) makes such a child provably one whose
+offer would neither read its objectives from scratch nor admit it, and
+fixes its keep decision:
 dropped below an infinite epsilon, kept at it. The dominated region only
 grows during a search, so a corner dominated by the snapshot is dominated
 at offer time too, and skipping these children leaves the frontier, the
@@ -45,6 +50,7 @@ counters and the random draws exactly as offering them would.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +61,8 @@ from .encoders import Encoder
 from .pareto import ParetoPoint, ParetoSet
 
 CHUNK_CHILDREN = 1 << 16
-"""Merge children per merge_objectives call; bounds the kernel's working arrays."""
+"""Merge children per merge_objectives call, and rows times joint cells
+per slice of an objectives call; bounds the kernels' working arrays."""
 
 OFFER_BLOCK = 256
 """Children tested against one frontier snapshot before they are offered."""
@@ -73,8 +80,11 @@ class SearchConfig:
     seed: int
 
     def __post_init__(self):
-        if isinstance(self.epsilon, bool) or not self.epsilon >= 0:  # also rejects NaN
-            raise ValueError(f"epsilon must be a number >= 0, got {self.epsilon!r}")
+        eps = self.epsilon
+        # a str or None would fail the comparison with a bare TypeError; the
+        # comparison also rejects NaN
+        if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not eps >= 0:
+            raise ValueError(f"epsilon must be a number >= 0, got {eps!r}")
         check_seed(self.seed)
 
 
@@ -273,6 +283,16 @@ def _merged_row_sums(q: np.ndarray, parent, i_idx, j_idx) -> np.ndarray:
     return row.sum(axis=1)[parent] - row[parent, i_idx] - row[parent, j_idx] + fold
 
 
+def _in_slices(score, labels: np.ndarray, size: int):
+    """score(rows) over consecutive slices of the (K, n) labels, K >= 1,
+    each of at most CHUNK_CHILDREN // size rows (at least one), with the
+    (xs, ys) of the slices concatenated. size is the joint's size, so a
+    slice holds at most CHUNK_CHILDREN joint cells, one set per row."""
+    step = max(1, CHUNK_CHILDREN // size)
+    xs, ys = zip(*(score(labels[lo : lo + step]) for lo in range(0, len(labels), step)))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
 class _JointEvaluator:
     """(x, y) = (-H(f(X)), I(f(X); Y)) for clusterings of a fixed joint."""
 
@@ -280,19 +300,32 @@ class _JointEvaluator:
         self.rows = joint.p
         self.n = joint.nx
         self.hy = float(-xlog2x(joint.marginal_y()).sum())
-        # cell_index[z] are the flat indices of cluster z's cells in a pushed matrix
-        self.cell_index = np.arange(self.rows.size).reshape(self.rows.shape)
+
+    def objectives(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Objectives of K >= 1 clusterings of one cluster count, from
+        scratch and path-independent: (xs, ys) of the (K, n) uint8 labels.
+
+        One bincount pushes a slice of rows. Its input is laid out as (row,
+        position, y), so each cell adds its rows in ascending position, as
+        _push does.
+        """
+        m, ny = int(labels.max()) + 1, self.rows.shape[1]
+        cols = np.arange(ny)
+
+        def score(rows):
+            # the bin (row, cluster, y) of each (row, position, y) entry
+            bins = np.add.outer((np.arange(0, len(rows) * m, m)[:, None] + rows) * ny, cols)
+            weights = np.repeat(self.rows[None], len(rows), axis=0)
+            pushed = np.bincount(bins.ravel(), weights.ravel(), len(rows) * m * ny)
+            return _objectives(pushed.reshape(-1, m, ny), self.hy)
+
+        return _in_slices(score, labels, self.rows.size)
 
     def evaluate(self, labels) -> tuple[float, float]:
-        """Objectives of one clustering, from scratch and path-independent.
-
-        bincount adds each cell's rows in input order, as _push does.
-        """
-        idx = np.frombuffer(bytes(labels), dtype=np.uint8)
-        m, ny = int(idx.max()) + 1, self.rows.shape[1]
-        pushed = np.bincount(self.cell_index[idx].ravel(), self.rows.ravel(), m * ny)
-        x, y = _objectives(pushed.reshape(1, m, ny), self.hy)
-        return float(x[0]), float(y[0])
+        """Objectives of one clustering, its labels in any form bytes() takes:
+        the one-row case of objectives."""
+        xs, ys = self.objectives(np.frombuffer(bytes(labels), dtype=np.uint8)[None])
+        return float(xs[0]), float(ys[0])
 
     def merge_objectives(self, parents: np.ndarray, parent, i_idx, j_idx):
         """Objectives of the children merging clusters i < j of parents[parent].
@@ -328,7 +361,7 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
     searched = 1
     enqueued = 1
 
-    evaluate = evaluator.evaluate
+    objectives = evaluator.objectives
     dominated = frontier.dominated
     distance = frontier.distance
     add = frontier.add
@@ -350,26 +383,34 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
             )
             for s, a, b in zip(starts, cuts[:-1], cuts[1:])
         )))
-        reach = _reach(draws, epsilon)
+        # a child is offered when the snapshot leaves its corner at its
+        # reach undominated (live), and can land within INFO_TOL only when
+        # the snapshot leaves its corner at 2 * INFO_TOL undominated (near,
+        # a subset of live; see _reach)
+        reach = np.stack((_reach(draws, epsilon), np.full(len(new), 2 * INFO_TOL)))
         searched += len(new)
         # a child the snapshot test drops keeps this verdict (see _reach)
         keep = np.full(len(new), brute)
         for lo in range(0, len(new), OFFER_BLOCK):
             hi = lo + OFFER_BLOCK
-            r = reach[lo:hi]
+            r = reach[:, lo:hi]
             # the frontier only grows, so this snapshot's verdicts hold for
             # the whole block
-            live = lo + np.flatnonzero(~dominated(xs[lo:hi] + r, ys[lo:hi] + r))
-            for k, p, q, x, y, draw in zip(
-                live.tolist(), parent[live].tolist(), pair[live].tolist(),
-                xs[live].tolist(), ys[live].tolist(), draws[live].tolist(),
+            masks = dominated(xs[lo:hi] + r, ys[lo:hi] + r)
+            live, near = (lo + np.flatnonzero(~mask) for mask in masks)
+            exact = {}  # the near children's labels and objectives from scratch
+            if len(near):
+                rows = merge[pair[near, None], level[parent[near]]]
+                ex, ey = objectives(rows)
+                exact = dict(zip(near.tolist(), zip(rows, ex.tolist(), ey.tolist())))
+            for k, x, y, draw in zip(
+                live.tolist(), xs[live].tolist(), ys[live].tolist(), draws[live].tolist()
             ):
                 d = distance(x, y)
                 if d <= INFO_TOL:  # a tie may hinge on the path-dependent last bits
-                    row = merge[q][level[p]]
-                    x, y = evaluate(row)
+                    row, x, y = exact[k]
                     d = distance(x, y)
-                # an entering child has d = 0, so it was evaluated again
+                # an entering child has d = 0, so it is offered its exact values
                 entered = d == 0.0 and add(ParetoPoint(x, y))
                 if entered:
                     labels[x, y] = row.tobytes()

@@ -30,6 +30,7 @@ of that size, not exactly 0.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,9 @@ _SPREAD_CELLS = 1 << 20
 
 
 def _check_z(z) -> None:
-    if isinstance(z, bool) or not 0 < z < math.inf:  # also rejects NaN
+    # a str or None would fail the comparison with a bare TypeError; the
+    # comparison also rejects NaN
+    if isinstance(z, bool) or not isinstance(z, numbers.Real) or not 0 < z < math.inf:
         raise ValueError(f"z must be positive and finite, got {z!r}")
 
 

@@ -17,7 +17,9 @@ import numpy as np
 from .distributions import _check_pmf, xlog2x
 from .encoders import Encoder
 from .errors import DimensionMismatchError, InvalidDistributionError
-from .mapper import SearchConfig, SearchStats, _objectives, _onehot, _run_search
+from .mapper import (
+    SearchConfig, SearchStats, _in_slices, _objectives, _onehot, _run_search,
+)
 from .pareto import ParetoSet
 
 
@@ -85,13 +87,23 @@ class _TripleEvaluator:
         t = (onehot @ self.p.reshape(g, -1)).reshape(count, m, g, -1)  # (P, z1, x2, y)
         return onehot[:, None] @ t
 
+    def objectives(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Objectives of K >= 1 encoders of one cluster count, from scratch
+        and path-independent: the plain objectives of each one's (m * m, ny)
+        cells, with x halved."""
+
+        def score(rows):
+            q = self._cells(rows)
+            xs, ys = _objectives(q.reshape(len(q), -1, q.shape[3]), self.hy)
+            return xs / 2.0, ys
+
+        return _in_slices(score, labels, self.p.size)
+
     def evaluate(self, labels) -> tuple[float, float]:
-        """Objectives of one encoder, from scratch and path-independent: the
-        plain objectives of its (m * m, ny) cells, with x halved."""
-        idx = np.frombuffer(bytes(labels), dtype=np.uint8)
-        q = self._cells(idx[None])
-        x, y = _objectives(q.reshape(1, -1, q.shape[3]), self.hy)
-        return float(x[0]) / 2.0, float(y[0])
+        """Objectives of one encoder, its labels in any form bytes() takes:
+        the one-row case of objectives."""
+        xs, ys = self.objectives(np.frombuffer(bytes(labels), dtype=np.uint8)[None])
+        return float(xs[0]), float(ys[0])
 
     def merge_objectives(self, parents: np.ndarray, parent, i_idx, j_idx):
         """Objectives of the children merging clusters i < j of parents[parent]."""

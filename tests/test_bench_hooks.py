@@ -81,6 +81,46 @@ def test_search_builds_one_encoder_per_frontier_point(spans, kind):
     assert all(p is q and e is f for (p, e), (q, f) in zip(first, second))
 
 
+@pytest.mark.parametrize("kind", ["plain", "symmetric"])
+def test_search_scores_each_offer_block_in_one_call(spans, kind):
+    # at eps = 0 every child that enters the frontier is decided on its
+    # objectives from scratch; the search scores an offer block's candidates
+    # in one batch, through _objectives and so through the traced xlog2x,
+    # not one _objectives call per child
+    if kind == "plain":
+        problem = dibmap.sample_simplex(8, 4, 3)
+        search, module = dibmap.pareto_mapper, dibmap.mapper
+    else:
+        rng = np.random.default_rng(3)
+        p = rng.exponential(size=(6, 6, 3))
+        problem = dibmap.TripleJointPMF(p / p.sum())
+        search, module = dibmap.symmetric_pareto_mapper, dibmap.symmetric
+    tracer = spans.Tracer()
+    scored, live_blocks = [], []
+    objectives = module._objectives
+
+    def counting_objectives(pushed, hy):
+        scored.append(len(pushed))
+        return objectives(pushed, hy)
+
+    with spans.install(tracer), pytest.MonkeyPatch.context() as mp:
+
+        class CountingSet(dibmap.mapper.ParetoSet):
+            def dominated(self, xs, ys):
+                out = super().dominated(xs, ys)
+                live_blocks.append(not out.all())  # the search offers some children
+                return out
+
+        mp.setattr(module, "_objectives", counting_objectives)
+        mp.setattr(dibmap.mapper, "ParetoSet", CountingSet)
+        frontier, stats = search(problem, dibmap.SearchConfig(0.0, 1))
+    assert tracer.leaf_total("xlog2x")[0] > 0
+    # the identity, then at most one batch per offer block with live children
+    assert 1 < len(scored) <= 1 + sum(live_blocks)
+    assert sum(scored) <= stats.points_searched  # each child scored at most once
+    assert len(frontier) > 1
+
+
 def test_robust_mapper_bootstraps_through_the_traced_name(spans):
     # robust_pareto_mapper reaches its search, bootstrap and filter through
     # the module-level names spans.install rebinds, so one call records one

@@ -164,6 +164,17 @@ class TestParetoMapper:
         with pytest.raises(ValueError, match="epsilon"):
             SearchConfig(epsilon, 0)
 
+    @pytest.mark.parametrize("epsilon", ["0.1", "inf", None, [0.1]])
+    def test_non_numeric_epsilon_rejected(self, epsilon):
+        # a library caller, unlike the CLI, passes epsilon unparsed
+        with pytest.raises(ValueError, match="epsilon"):
+            SearchConfig(epsilon, 0)
+
+    @pytest.mark.parametrize("epsilon", [0, 0.05, np.float64(0.05), np.int64(1), math.inf])
+    def test_real_epsilon_accepted(self, epsilon):
+        _, stats = pareto_mapper(DIAG2, SearchConfig(epsilon, 0))
+        assert stats.points_searched == 2
+
     @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, False, "3", None, np.int64(-2)])
     def test_bad_seed_rejected(self, seed):
         # numpy would refuse these only once the search draws
@@ -492,9 +503,9 @@ def random_rgs(rng, n):
 
 
 class TestExactEvaluation:
-    """The exact re-evaluation, which pools cells and cluster masses in one
-    buffer, against the reference formula bit for bit, for every label type
-    evaluate accepts."""
+    """The from-scratch evaluation, _objectives of the pushed cells, against
+    the reference formula bit for bit, for every label type evaluate
+    accepts."""
 
     @given(
         st.integers(0, 2**32 - 1), st.integers(1, 24), st.integers(1, 12),
@@ -557,7 +568,8 @@ def labels_with_m_clusters(rng, n, m, count):
 class TestKernelInvariance:
     """_objectives gives every matrix the same floats in any batch of its
     shape, so the evaluators' from-scratch values are the rows of any
-    one-cluster-count batch, bit for bit."""
+    one-cluster-count batch, bit for bit, and so are the rows of their
+    batched objectives, which the search scores each offer block with."""
 
     @given(
         st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 6),
@@ -565,6 +577,9 @@ class TestKernelInvariance:
     )
     @settings(max_examples=60, deadline=None)
     @example(seed=0, n=9, ny=1, zero_rows=True, dup_rows=True, count=4)
+    # 1,001 rows of 12 x 6 plain and 6 x 6 x 6 symmetric joints span two
+    # and four slices of CHUNK_CHILDREN joint cells in objectives
+    @example(seed=1, n=12, ny=6, zero_rows=True, dup_rows=True, count=1000)
     def test_batch_rows_equal_evaluate(self, seed, n, ny, zero_rows, dup_rows, count):
         rng = np.random.default_rng(seed)
         p = rng.exponential(size=(n, ny))
@@ -577,9 +592,11 @@ class TestKernelInvariance:
         ev = _JointEvaluator(JointPMF(p / p.sum()))
         m = int(rng.integers(1, n + 1))
         block = labels_with_m_clusters(rng, n, m, count)
+        block = np.concatenate((block, block[:1]))  # one row twice
         xs, ys = _objectives(_push(block, ev.rows, m), ev.hy)
-        for row, x, y in zip(block, xs.tolist(), ys.tolist()):
-            assert ev.evaluate(row) == (x, y)
+        bx, by = ev.objectives(block)
+        for row, *xy in zip(block, xs.tolist(), ys.tolist(), bx.tolist(), by.tolist()):
+            assert ev.evaluate(row) == tuple(xy[:2]) == tuple(xy[2:])
 
         # the symmetric evaluator: the plain objectives of its (m * m, ny)
         # cells with x halved, here in a batch of encoders
@@ -594,9 +611,11 @@ class TestKernelInvariance:
         tev = _TripleEvaluator(dm.TripleJointPMF(t / t.sum()))
         m = min(m, g)
         block = labels_with_m_clusters(rng, g, m, count)
-        xs, ys = _objectives(tev._cells(block).reshape(count, m * m, ny), tev.hy)
-        for row, x, y in zip(block, xs.tolist(), ys.tolist()):
-            assert tev.evaluate(row) == (x / 2.0, y)
+        block = np.concatenate((block, block[:1]))
+        xs, ys = _objectives(tev._cells(block).reshape(count + 1, m * m, ny), tev.hy)
+        bx, by = tev.objectives(block)
+        for row, *xy in zip(block, (xs / 2.0).tolist(), ys.tolist(), bx.tolist(), by.tolist()):
+            assert tev.evaluate(row) == tuple(xy[:2]) == tuple(xy[2:])
 
     @given(
         st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5),

@@ -199,7 +199,7 @@ class TestSignificanceFilter:
         with pytest.raises(ValueError):
             significance_filter(ps, 1.0)
 
-    @pytest.mark.parametrize("z", [-1.0, 0.0, math.nan, math.inf, True])
+    @pytest.mark.parametrize("z", [-1.0, 0.0, math.nan, math.inf, True, "3", None])
     def test_bad_z_rejected(self, z):
         ps = ParetoSet([point(-1.0, 1.0, 0.1, 0.1)])
         with pytest.raises(ValueError, match="z must"):
@@ -310,6 +310,11 @@ class TestRobustParetoMapper:
     def test_bool_z_rejected(self):
         with pytest.raises(ValueError, match="z must"):
             RobustConfig(0.0, 0, z=True)
+
+    @pytest.mark.parametrize("z", ["3", None])
+    def test_non_numeric_z_rejected(self, z):
+        with pytest.raises(ValueError, match="z must"):
+            RobustConfig(0.0, 0, z=z)
 
     @pytest.mark.parametrize("epsilon", [-1.0, math.nan, -math.inf])
     def test_bad_epsilon_rejected(self, epsilon):
