@@ -343,7 +343,9 @@ class TestGoldenFrontier:
 
     Any rewrite of the enumeration or the objective arithmetic must leave
     them unchanged: the repeated-row joint pins which encoder arrives first
-    at an exact tie, and ny = 1 pins float noise around I = 0.
+    at an exact tie, ny = 1 pins float noise around I = 0, the diagonal
+    joint keeps every partition, and the zero-rows joint has clusters of
+    zero mass.
     """
 
     @pytest.mark.parametrize(
@@ -357,8 +359,12 @@ class TestGoldenFrontier:
              "a57b6ba6823720edf48cb0e6ceee1f3a22f47502f329741b2f24f58bf0494e18"),
             (repeated_row_joint,
              "3437bdc60c5019661d429b656884d992ff44fdb54045b1048199c89dfe341b27"),
+            (lambda: diagonal_joint(10),
+             "24ffb735db0538de2b52fe7a562c6d648bbb035977d8fa46982a3ac8f462007d"),
+            (lambda: JointPMF(kernel_joint(10, 5, "zero-rows", 1)),
+             "1a55984cbef068d45385957cf0ea787e96de7677126c2959fea6f901d2df5264"),
         ],
-        ids=["9x5", "11x1", "11x30", "repeated-rows-10x3"],
+        ids=["9x5", "11x1", "11x30", "repeated-rows-10x3", "diag10", "zero-rows-10x5"],
     )
     def test_digest(self, make_joint, want):
         frontier = brute_force_frontier(make_joint())
