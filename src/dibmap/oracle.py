@@ -8,22 +8,22 @@ most BLOCK_ROWS rows, for every n: all positions but the last two are
 expanded at once, the last two per group of prefixes (Knuth, TAOCP 4A,
 7.2.1.5).
 
-Each block is screened from its prefixes. A group's prefixes are pushed
-forward once, padded to n clusters, with their row sums of xlog2x terms
-and their mass terms; each later position rebuilds the one cluster it
-lands in once per string of its level, so position n - 2's once per
-(n - 1)-label prefix. The screen updates the prefix's totals by the
-replaced and the rebuilt clusters, O(ny) per string, and drops every row
-whose corner (x + delta, y + delta) the frontier so far weakly dominates:
-nearly all rows of a random joint. It sums the same floats as
-mapper._objectives in another order, and delta is a summation error bound
-(_screen_slack), so each dropped row is dominated exactly too. The rows
-left are scored exactly in one batch per cluster count m,
-mapper._objectives(_push(rows, p, m)): the one from-scratch reduction the
-search's evaluate and the bootstrap also use, so every partition gets the
-floats the search gives it, exact ties included. They are merged with the
-frontier so far, held as arrays, by one pareto_mask, which also drops the
-rows that frontier weakly dominates. The final frontier's encoders are
+Each block is screened through three tables built once per joint, one
+entry per subset S of the n symbols (_subset_tables): S's pushed cell, its
+sum of xlog2x terms and its mass term. A string's clusters are uint16
+bitmasks of its positions. A group's prefixes start from the sums of
+their clusters' terms; each later position grows one cluster's subset
+and swaps its terms for the grown one's, O(1) per string and position
+(_screen). The screen drops every row whose corner (x + delta, y + delta)
+the frontier so far weakly dominates: nearly all rows of a random joint.
+It sums the same floats as mapper._objectives in another order, and delta
+is a summation error bound (_screen_slack), so each dropped row is
+dominated exactly too. The rows left are scored exactly in one batch per
+cluster count m, mapper._objectives of their clusters' table cells: these
+are the cells _push gives, bit for bit, so every partition gets the floats
+the search's evaluate gives it, exact ties included. They are merged with
+the frontier so far, held as arrays, by one pareto_mask, which also drops
+the rows that frontier weakly dominates. The final frontier's encoders are
 checked canonical as one array.
 """
 
@@ -38,7 +38,7 @@ import numpy as np
 from .distributions import JointPMF, xlog2x
 from .encoders import Encoder
 from .errors import CapacityError
-from .mapper import _objectives, _push
+from .mapper import _objectives
 from .pareto import ParetoPoint, ParetoSet, pareto_mask, weakly_dominated
 
 MAX_EXHAUSTIVE_N = 13
@@ -105,63 +105,69 @@ def _rgs_blocks(n: int) -> Iterator[np.ndarray]:
         yield levels[-1]
 
 
-def _block_objectives(levels, srcs, p: np.ndarray, hy: float):
-    """Screening values (sx, sy) of a group's block (see _rgs_groups): they
-    lie within _screen_slack(n, ny) of the exact objectives of every row of
-    m clusters, mapper._objectives(_push(rows, p, m), hy).
+def _subset_tables(p: np.ndarray):
+    """The pushed cell of every subset S of the n symbols, as a bitmask,
+    with its sum of xlog2x terms and its mass term: cells (2^n, ny), rows
+    and masses (2^n,).
 
-    The prefixes are pushed once, padded to n clusters, with their row sums
-    of xlog2x terms and their mass terms. Each later position rebuilds,
-    once per string of its level, the cluster it lands in: that cluster's
-    cell so far plus the position's row, as _push adds them. The screen
-    updates the prefix's totals of row sums and mass terms by the replaced
-    and the rebuilt cluster, O(ny) per string.
+    cells[S] is cells[S - 2^i] + p[i] for S's top symbol i, so a cluster's
+    rows are added in ascending position from 0.0, as _push adds them: the
+    cells of a string's cluster masks are its _push cells bit for bit.
     """
-    n = levels[-1].shape[1]
-    lead = levels[0].shape[1]
-    ny = p.shape[1]
-    # one row per prefix cluster; the screen's row sums may add in any order
-    pre = _push(levels[0], p[:lead], n).reshape(-1, ny)
-    pre_rows, pre_mass = xlog2x(pre) @ np.ones(ny), xlog2x(pre.sum(axis=1))
-    row_tot = pre_rows.reshape(-1, n).sum(axis=1)
-    mass_tot = pre_mass.reshape(-1, n).sum(axis=1)
-    owner = np.arange(len(levels[0]))
-    # per tail position: each string's row in that position's level, then
-    # the level's labels there and its rebuilt cells, row sums, masses
-    tails = []
-    for i, src in enumerate(srcs, lead):
-        owner, row_tot, mass_tot = owner[src], row_tot[src], mass_tot[src]
-        for tail in tails:
-            tail[0] = tail[0][src]
-        c = levels[i - lead + 1][:, i]
-        j = owner * n + c
-        cell = np.take(pre, j, axis=0)
-        rows, mass = np.take(pre_rows, j), np.take(pre_mass, j)
-        # a cluster an earlier tail position rebuilt continues from that cell
-        for at, tc, tcell, trows, tmass in tails:
-            same = np.flatnonzero(tc[at] == c)
-            cell[same], rows[same], mass[same] = (
-                tcell[at[same]], trows[at[same]], tmass[at[same]])
-        cell += p[i]
-        new_rows, new_mass = xlog2x(cell) @ np.ones(ny), xlog2x(cell.sum(axis=1))
-        row_tot = row_tot - rows + new_rows
-        mass_tot = mass_tot - mass + new_mass
-        tails.append([np.arange(len(c)), c, cell, new_rows, new_mass])
+    n, ny = p.shape
+    cells = np.zeros((1 << n, ny))
+    for i in range(n):
+        np.add(cells[: 1 << i], p[i], out=cells[1 << i : 2 << i])
+    return cells, xlog2x(cells) @ np.ones(ny), xlog2x(cells.sum(axis=1))
+
+
+def _screen(levels, srcs, rows: np.ndarray, masses: np.ndarray, hy: float):
+    """Screening values (sx, sy) of a group's block (see _rgs_groups), and
+    the block's cluster masks: bit i of masks[r, c] is set iff row r puts
+    symbol i in cluster c. (sx, sy) lie within _screen_slack(n, ny) of the
+    exact objectives of every row of m clusters,
+    mapper._objectives(cells[masks[r, :m]], hy).
+
+    rows and masses are _subset_tables' per-subset terms. Each prefix
+    starts from the sums of its clusters' terms. At each later position i
+    a string that lands in cluster c grows that cluster's subset S to
+    S | 2^i, and its totals swap S's terms for the grown subset's: O(1) per
+    string.
+    """
+    pre = levels[0]
+    k, n = len(pre), levels[-1].shape[1]
+    # a prefix cluster's mask is the sum of its positions' bits
+    at = np.arange(0, k * n, n)[:, None] + pre
+    bits = np.broadcast_to(np.ldexp(1.0, np.arange(pre.shape[1])), pre.shape)
+    masks = np.bincount(at.ravel(), bits.ravel(), k * n).astype(np.uint16).reshape(k, n)
+    row_tot = np.take(rows, masks).sum(axis=1)
+    mass_tot = np.take(masses, masks).sum(axis=1)
+    for i, (src, level) in enumerate(zip(srcs, levels[1:]), pre.shape[1]):
+        masks = np.take(masks, src, axis=0)
+        row_tot, mass_tot = np.take(row_tot, src), np.take(mass_tot, src)
+        # flat index of each string's cluster at position i
+        at = np.arange(0, masks.size, n) + level[:, i]
+        old = np.take(masks, at)
+        new = old | np.uint16(1 << i)
+        np.put(masks, at, new)
+        row_tot = row_tot - np.take(rows, old) + np.take(rows, new)
+        mass_tot = mass_tot - np.take(masses, old) + np.take(masses, new)
     hz, hzy = np.maximum(-mass_tot, 0.0), -row_tot
-    return -hz, np.maximum(hz + hy - hzy, 0.0)
+    return -hz, np.maximum(hz + hy - hzy, 0.0), masks
 
 
 def _screen_slack(n: int, ny: int) -> float:
     """A bound on |sx - x| and |sy - y| over the strings of an n x ny joint
-    (see _block_objectives).
+    (see _screen).
 
     The screen and mapper._objectives sum the same floats, xlog2x of the
     same cells and of the same masses; only the order of the sums differs.
-    The exact stage pushes each row to its own c <= n clusters, so its sums
+    The exact stage scores each row at its own c <= n clusters, so its sums
     have at most n ny terms, and the bound below, with N only shrinking,
-    covers them too. Each sum adds at most N = (n + 4) ny terms t: the
-    screen's prefix padded to n clusters, two replaced clusters subtracted
-    and two rebuilt ones added. Any order
+    covers them too. Each screen sum adds at most N = (n + 4) ny terms t:
+    the table terms of the prefix's n cluster subsets (empty ones add
+    zeros), the two replaced subsets' subtracted and the two grown ones'
+    added. Any order
     of summing N terms errs from their exact sum by at most
     gamma_N sum |t|, gamma_N = N u / (1 - N u), u = 2^-53 (Higham, Accuracy
     and Stability of Numerical Algorithms, 2nd ed., section 4.2). Those
@@ -212,18 +218,18 @@ def brute_force_frontier(joint: JointPMF) -> ParetoSet:
         raise CapacityError(f"nx = {n} exceeds the exhaustive cap {MAX_EXHAUSTIVE_N}")
     hy = float(-xlog2x(joint.marginal_y()).sum())
     delta = _screen_slack(n, joint.ny)
+    cells, rows, masses = _subset_tables(joint.p)
     xs = ys = np.empty(0)
     labels = np.empty((0, n), dtype=np.uint8)
     for levels, srcs in _rgs_groups(n):
-        sx, sy = _block_objectives(levels, srcs, joint.p, hy)
-        block = levels[-1][~weakly_dominated(xs, ys, sx + delta, sy + delta)]
-        # a row's first m clusters of the padded push are _push(row, p, m)
-        pushed = _push(block, joint.p, n)
+        sx, sy, masks = _screen(levels, srcs, rows, masses, hy)
+        keep = ~weakly_dominated(xs, ys, sx + delta, sy + delta)
+        block, masks = levels[-1][keep], masks[keep]
         bx, by = np.empty(len(block)), np.empty(len(block))
         ms = block.max(axis=1) + 1
         for m in np.unique(ms).tolist():
             at = ms == m
-            bx[at], by[at] = _objectives(pushed[at, :m], hy)
+            bx[at], by[at] = _objectives(cells[masks[at, :m]], hy)
         xs, ys = np.concatenate((xs, bx)), np.concatenate((ys, by))
         labels = np.concatenate((labels, block))
         keep = np.flatnonzero(pareto_mask(np.column_stack((xs, ys))))

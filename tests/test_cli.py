@@ -352,6 +352,18 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unallocatable_bootstrap_is_exit_one(self, tmp_path, capsys):
+        # 10^12 replicates of 4 cells ask for 29.1 TiB, which numpy refuses
+        # before allocating anything
+        path = tmp_path / "counts.csv"
+        path.write_text("4,3\n2,5\n")
+        out = tmp_path / "out.json"
+        rc = main(["robust-map", "--counts", str(path), "--epsilon", "0", "--seed", "1",
+                   "--bootstrap-reps", str(10**12), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert not out.exists()
+
     def test_too_many_symbols_is_exit_one(self, tmp_path, capsys):
         path = tmp_path / "wide.csv"
         dm.save_matrix_csv(path, np.full((256, 1), 1 / 256))

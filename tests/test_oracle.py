@@ -26,11 +26,12 @@ from dibmap.mapper import _JointEvaluator, _objectives, _push
 from dibmap.oracle import (
     BLOCK_ROWS,
     SCORE_BLOCK,
-    _block_objectives,
     _encoders,
     _rgs_blocks,
     _rgs_groups,
+    _screen,
     _screen_slack,
+    _subset_tables,
 )
 
 
@@ -274,7 +275,7 @@ class TestPrefixKernel:
             assert levels[-1].shape[1] == n
             for level, src, longer in zip(levels, srcs, levels[1:]):
                 np.testing.assert_array_equal(longer[:, :-1], level[src])
-            sx, sy = _block_objectives(levels, srcs, p, hy)
+            sx, sy, _ = _screen(levels, srcs, *_subset_tables(p)[1:], hy)
             x, y = exact_objectives(levels[-1], p, hy)
             assert sx.shape == sy.shape == (len(levels[-1]),)
             assert np.all(np.abs(sx - x) <= delta) and np.all(np.abs(sy - y) <= delta)
@@ -297,6 +298,25 @@ class TestPrefixKernel:
         for seed in range(3):
             self.check_groups(n, kernel_joint(n, 5, kind, seed))
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        ny=st.sampled_from([1, 2, 5, 30]),
+        kind=st.sampled_from(KINDS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_subset_cells_are_the_push_bit_for_bit(self, n, ny, kind, seed):
+        # empty clusters gather the empty subset's zero cell, as _push pads
+        p = kernel_joint(n, ny, kind, seed)
+        cells, rows, masses = _subset_tables(p)
+        assert cells.shape == (2**n, p.shape[1]) and rows.shape == masses.shape == (2**n,)
+        for levels, srcs in _rgs_groups(n):
+            masks = _screen(levels, srcs, rows, masses, 0.0)[2]
+            assert masks.dtype == np.uint16
+            got = cells[masks]
+            want = _push(levels[-1], p, n)
+            assert got.tobytes() == want.tobytes()
+
 
 class TestScreen:
     @settings(max_examples=10, deadline=None)
@@ -314,8 +334,9 @@ class TestScreen:
             mp.setattr(dm.oracle, "BLOCK_ROWS", 16)
             groups = list(_rgs_groups(n))
         so_far = ParetoSet()
+        terms = _subset_tables(p)[1:]
         for levels, srcs in groups:
-            sx, sy = _block_objectives(levels, srcs, p, hy)
+            sx, sy, _ = _screen(levels, srcs, *terms, hy)
             x, y = exact_objectives(levels[-1], p, hy)
             assert np.all(np.abs(sx - x) <= delta) and np.all(np.abs(sy - y) <= delta)
             rows = zip((sx + delta).tolist(), (sy + delta).tolist(), x.tolist(), y.tolist())
