@@ -269,16 +269,22 @@ class TestPrefixKernel:
     def check_groups(n, p):
         hy = float(-xlog2x(p.sum(axis=0)).sum())
         delta = _screen_slack(n, p.shape[1])
+        cells, rows, masses = _subset_tables(p)
+        assert cells.shape == (2**n, p.shape[1]) and rows.shape == masses.shape == (2**n,)
         for levels, srcs in _rgs_groups(n):
             # each level extends the one before; the last holds n labels
             assert len(levels) == len(srcs) + 1 == min(n, 3)
             assert levels[-1].shape[1] == n
             for level, src, longer in zip(levels, srcs, levels[1:]):
                 np.testing.assert_array_equal(longer[:, :-1], level[src])
-            sx, sy, _ = _screen(levels, srcs, *_subset_tables(p)[1:], hy)
+            sx, sy, masks = _screen(levels, srcs, rows, masses, hy)
             x, y = exact_objectives(levels[-1], p, hy)
             assert sx.shape == sy.shape == (len(levels[-1]),)
             assert np.all(np.abs(sx - x) <= delta) and np.all(np.abs(sy - y) <= delta)
+            # the subset cells of a row's masks are its push, bit for bit;
+            # empty clusters gather the empty subset's zero cell, as _push pads
+            assert masks.dtype == np.uint16
+            assert cells[masks].tobytes() == _push(levels[-1], p, n).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -297,25 +303,6 @@ class TestPrefixKernel:
         # after it, n = 3 the usual two
         for seed in range(3):
             self.check_groups(n, kernel_joint(n, 5, kind, seed))
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        n=st.integers(1, 9),
-        ny=st.sampled_from([1, 2, 5, 30]),
-        kind=st.sampled_from(KINDS),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_subset_cells_are_the_push_bit_for_bit(self, n, ny, kind, seed):
-        # empty clusters gather the empty subset's zero cell, as _push pads
-        p = kernel_joint(n, ny, kind, seed)
-        cells, rows, masses = _subset_tables(p)
-        assert cells.shape == (2**n, p.shape[1]) and rows.shape == masses.shape == (2**n,)
-        for levels, srcs in _rgs_groups(n):
-            masks = _screen(levels, srcs, rows, masses, 0.0)[2]
-            assert masks.dtype == np.uint16
-            got = cells[masks]
-            want = _push(levels[-1], p, n)
-            assert got.tobytes() == want.tobytes()
 
 
 class TestScreen:
