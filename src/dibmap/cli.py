@@ -26,7 +26,7 @@ from .distributions import (
 )
 from .mapper import SearchConfig, dmc_points, pareto_mapper, upper_hull
 from .oracle import brute_force_frontier, precision_recall
-from .pareto import ParetoPoint, ParetoSet
+from .pareto import ParetoPoint, ParetoSet, pareto_mask
 from .robust import RobustConfig, robust_pareto_mapper
 from .scaling import (
     CopulaKind,
@@ -158,6 +158,12 @@ def _load_candidate(path) -> ParetoSet:
         if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in (h, i)):
             raise ValueError("candidate H and I must be finite numbers")
         pairs.append((0.0 - h, float(i)))
+    # a ParetoSet would drop such a point silently and score the rest
+    kept = pareto_mask(pairs).tolist()
+    if not all(kept):
+        k = kept.index(False)
+        raise ValueError(f"candidate points[{k}] {json.dumps(doc['points'][k])} repeats "
+                         "or is weakly dominated by another candidate point")
     # offered ascending in x, each point is appended at the end of the set
     return ParetoSet(ParetoPoint(x, y) for x, y in sorted(pairs))
 

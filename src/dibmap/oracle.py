@@ -3,28 +3,32 @@
 Set partitions are enumerated as restricted growth strings (RGS) in
 lexicographic order, so each partition of [n] is visited exactly once; the
 count is the Bell number B(n). A hard cap of n = 13 (B(13) ~ 2.7e7) keeps
-exhaustive runs desk-scale. The strings are streamed in uint8 blocks of at
-most BLOCK_ROWS rows, for every n: all positions but the last two are
-expanded at once, the last two per group of prefixes (Knuth, TAOCP 4A,
-7.2.1.5).
+exhaustive runs desk-scale. A string is held only as its clusters, uint16
+bitmasks of its positions, and its number of clusters. One step (_grow)
+puts the next symbol in each cluster of a string in turn, then in a new
+one, which keeps lex order (Knuth, TAOCP 4A, 7.2.1.5). It builds the
+prefixes of all positions but the last two, a slice at a time, and then
+grows each group of prefixes into a block of at most BLOCK_ROWS strings,
+for every n. Label rows are built only for what leaves the module: the
+final frontier, or each block enumerate_partitions yields.
 
 Each block is screened through three tables built once per joint, one
 entry per subset S of the n symbols (_subset_tables): S's pushed cell, its
-sum of xlog2x terms and its mass term. A string's clusters are uint16
-bitmasks of its positions. A group's prefixes start from the sums of
-their clusters' terms; each later position grows one cluster's subset
-and swaps its terms for the grown one's, O(1) per string and position
-(_screen). The screen drops every row whose corner (x + delta, y + delta)
-the frontier so far weakly dominates: nearly all rows of a random joint.
-It sums the same floats as mapper._objectives in another order, and delta
-is a summation error bound (_screen_slack), so each dropped row is
-dominated exactly too. The rows left are scored exactly in one batch per
-cluster count m, mapper._objectives of their clusters' table cells: these
-are the cells _push gives, bit for bit, so every partition gets the floats
-the search's evaluate gives it, exact ties included. They are merged with
-the frontier so far, held as arrays, by one pareto_mask, which also drops
-the rows that frontier weakly dominates. The final frontier's encoders are
-checked canonical as one array.
+sum of xlog2x terms and its mass term. A group's prefixes start from the
+sums of their clusters' terms; each of the last two positions grows one
+cluster's subset and swaps its terms for the grown one's, O(1) per string
+and position (_screen). The screen drops every row whose corner
+(x + delta, y + delta) the frontier so far weakly dominates: nearly all
+rows of a random joint. It sums the same floats as mapper._objectives in
+another order, and delta is a summation error bound (_screen_slack), so
+each dropped row is dominated exactly too. The rows left are scored
+exactly in one batch per cluster count m, mapper._objectives of their
+clusters' table cells: these are the cells _push gives, bit for bit, so
+every partition gets the floats the search's evaluate gives it, exact ties
+included. They are merged with the frontier so far, held as arrays, by one
+pareto_mask, which also drops the rows that frontier weakly dominates, and
+carries the survivors' masks. The final frontier's label rows are checked
+canonical as one array.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .pareto import ParetoPoint, ParetoSet, pareto_mask, weakly_dominated
 
 MAX_EXHAUSTIVE_N = 13
 BLOCK_ROWS = 8192
-"""Label strings per enumerated block; bounds the oracle's working memory."""
+"""Strings per enumerated block; bounds the oracle's working memory."""
 SCORE_BLOCK = 256
 """Candidate points per precision_recall comparison; bounds its memory."""
 
@@ -61,48 +65,63 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
-def _extend(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every RGS one longer than a string of the block, in lex order, and
-    the index of the string each one extends.
+def _grow(masks: np.ndarray, counts: np.ndarray, i: int):
+    """Every RGS one symbol longer than a row of (masks, counts), in lex order.
 
-    Each string is followed by 0 .. 1 + its maximum, so a lex-ordered block
-    gives a lex-ordered result.
+    Bit j of masks[r, c] is set iff row r puts symbol j in cluster c, and
+    counts[r] is its number of clusters. Symbol i joins each cluster of a
+    row in turn, then a new one, so a lex-ordered block gives a lex-ordered
+    result. Returns the grown (masks, counts), the row each grown row
+    extends and the grown cluster's new mask.
     """
-    choices = block.max(axis=1).astype(np.intp) + 2
-    src = np.repeat(np.arange(len(block)), choices)
-    first = np.cumsum(choices) - choices
-    out = np.empty((len(src), block.shape[1] + 1), dtype=np.uint8)
-    out[:, :-1] = np.take(block, src, axis=0)
-    out[:, -1] = np.arange(len(src)) - first[src]
-    return out, src
+    choices = counts.astype(np.intp) + 1
+    src = np.repeat(np.arange(len(masks)), choices)
+    c = np.arange(len(src)) - (np.cumsum(choices) - choices)[src]
+    masks, counts = np.take(masks, src, axis=0), np.take(counts, src)
+    # flat index of each grown row's cluster c
+    at = np.arange(0, masks.size, masks.shape[1]) + c
+    new = np.take(masks, at) | np.uint16(1 << i)
+    np.put(masks, at, new)
+    counts += c == counts
+    return masks, counts, src, new
 
 
-def _rgs_groups(n: int) -> Iterator[tuple[list[np.ndarray], list[np.ndarray]]]:
-    """Every RGS of length n, in lex order, as blocks of at most BLOCK_ROWS.
+def _tail(n: int) -> range:
+    """The positions each group of prefixes grows: the last two, or all after
+    position 0 for n < 3."""
+    return range(max(1, n - 2), n)
 
-    Yields (levels, srcs): levels[0] is a group of prefixes, each later
-    level every string one longer than a string of the level before, and
-    levels[-1] the block; levels[j + 1][r] extends levels[j][srcs[j][r]].
-    For n >= 3 the levels hold n - 2, n - 1 and n labels.
+
+def _rgs_groups(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every RGS of length n, in lex order, as groups of prefixes: (masks,
+    counts) of the symbols before _tail(n), which that tail grows into a
+    block of at most BLOCK_ROWS strings.
+
+    The prefixes' last symbol is grown BLOCK_ROWS rows at a time, so the
+    B(n - 2) prefixes are never held whole.
     """
-    head = np.zeros((1, 1), dtype=np.uint8)
-    while head.shape[1] < n - 2:
-        head = _extend(head)[0]
+    stop = _tail(n).start
+    masks, counts = np.eye(1, n, dtype=np.uint16), np.ones(1, dtype=np.uint8)
+    for i in range(1, stop - 1):
+        masks, counts = _grow(masks, counts, i)[:2]
     # two more positions give a prefix of m <= n - 2 clusters m*m + 2m + 2 strings
     step = max(1, BLOCK_ROWS // ((n - 1) ** 2 + 1))
-    for start in range(0, len(head), step):
-        levels, srcs = [head[start : start + step]], []
-        for _ in range(n - head.shape[1]):
-            level, src = _extend(levels[-1])
-            levels.append(level)
-            srcs.append(src)
-        yield levels, srcs
+    for lo in range(0, len(masks), BLOCK_ROWS):
+        pre, cnt = masks[lo : lo + BLOCK_ROWS], counts[lo : lo + BLOCK_ROWS]
+        if stop > 1:
+            pre, cnt = _grow(pre, cnt, stop - 1)[:2]
+        for at in range(0, len(pre), step):
+            yield pre[at : at + step], cnt[at : at + step]
 
 
-def _rgs_blocks(n: int) -> Iterator[np.ndarray]:
-    """Every RGS of length n, in lex order, as blocks of at most BLOCK_ROWS."""
-    for levels, _ in _rgs_groups(n):
-        yield levels[-1]
+def _labels(masks: np.ndarray) -> np.ndarray:
+    """The label rows of cluster-mask rows: symbol i gets the cluster whose
+    mask holds bit i."""
+    labels = np.zeros(masks.shape, dtype=np.uint8)
+    bits = np.uint16(1) << np.arange(masks.shape[1], dtype=np.uint16)
+    for c in range(1, masks.shape[1]):
+        labels += ((masks[:, c, None] & bits) != 0) * np.uint8(c)
+    return labels
 
 
 def _subset_tables(p: np.ndarray):
@@ -121,39 +140,27 @@ def _subset_tables(p: np.ndarray):
     return cells, xlog2x(cells) @ np.ones(ny), xlog2x(cells.sum(axis=1))
 
 
-def _screen(levels, srcs, rows: np.ndarray, masses: np.ndarray, hy: float):
-    """Screening values (sx, sy) of a group's block (see _rgs_groups), and
-    the block's cluster masks: bit i of masks[r, c] is set iff row r puts
-    symbol i in cluster c. (sx, sy) lie within _screen_slack(n, ny) of the
-    exact objectives of every row of m clusters,
-    mapper._objectives(cells[masks[r, :m]], hy).
+def _screen(masks, counts, rows: np.ndarray, masses: np.ndarray, hy: float):
+    """Screening values (sx, sy) of the block a group of prefixes (masks,
+    counts) grows into (see _rgs_groups), and the block's (masks, counts).
+    (sx, sy) lie within _screen_slack(n, ny) of the exact objectives of
+    every row r of m clusters, mapper._objectives(cells[masks[r, :m]], hy).
 
     rows and masses are _subset_tables' per-subset terms. Each prefix
-    starts from the sums of its clusters' terms. At each later position i
-    a string that lands in cluster c grows that cluster's subset S to
-    S | 2^i, and its totals swap S's terms for the grown subset's: O(1) per
-    string.
+    starts from the sums of its clusters' terms. At each tail position i
+    a string that puts symbol i in cluster c grows that cluster's subset S
+    to S | 2^i, and its totals swap S's terms for the grown subset's: O(1)
+    per string.
     """
-    pre = levels[0]
-    k, n = len(pre), levels[-1].shape[1]
-    # a prefix cluster's mask is the sum of its positions' bits
-    at = np.arange(0, k * n, n)[:, None] + pre
-    bits = np.broadcast_to(np.ldexp(1.0, np.arange(pre.shape[1])), pre.shape)
-    masks = np.bincount(at.ravel(), bits.ravel(), k * n).astype(np.uint16).reshape(k, n)
     row_tot = np.take(rows, masks).sum(axis=1)
     mass_tot = np.take(masses, masks).sum(axis=1)
-    for i, (src, level) in enumerate(zip(srcs, levels[1:]), pre.shape[1]):
-        masks = np.take(masks, src, axis=0)
-        row_tot, mass_tot = np.take(row_tot, src), np.take(mass_tot, src)
-        # flat index of each string's cluster at position i
-        at = np.arange(0, masks.size, n) + level[:, i]
-        old = np.take(masks, at)
-        new = old | np.uint16(1 << i)
-        np.put(masks, at, new)
-        row_tot = row_tot - np.take(rows, old) + np.take(rows, new)
-        mass_tot = mass_tot - np.take(masses, old) + np.take(masses, new)
+    for i in _tail(masks.shape[1]):
+        masks, counts, src, new = _grow(masks, counts, i)
+        old = new ^ np.uint16(1 << i)
+        row_tot = np.take(row_tot, src) - np.take(rows, old) + np.take(rows, new)
+        mass_tot = np.take(mass_tot, src) - np.take(masses, old) + np.take(masses, new)
     hz, hzy = np.maximum(-mass_tot, 0.0), -row_tot
-    return -hz, np.maximum(hz + hy - hzy, 0.0), masks
+    return -hz, np.maximum(hz + hy - hzy, 0.0), masks, counts
 
 
 def _screen_slack(n: int, ny: int) -> float:
@@ -192,8 +199,10 @@ def enumerate_partitions(n: int) -> Iterator[Encoder]:
         raise ValueError("n must be at least 1")
     if n > MAX_EXHAUSTIVE_N:
         raise CapacityError(f"n = {n} exceeds the exhaustive cap {MAX_EXHAUSTIVE_N}")
-    for block in _rgs_blocks(n):
-        yield from _encoders(block)
+    for masks, counts in _rgs_groups(n):
+        for i in _tail(n):
+            masks, counts = _grow(masks, counts, i)[:2]
+        yield from _encoders(_labels(masks))
 
 
 def brute_force_frontier(joint: JointPMF) -> ParetoSet:
@@ -220,23 +229,22 @@ def brute_force_frontier(joint: JointPMF) -> ParetoSet:
     delta = _screen_slack(n, joint.ny)
     cells, rows, masses = _subset_tables(joint.p)
     xs = ys = np.empty(0)
-    labels = np.empty((0, n), dtype=np.uint8)
-    for levels, srcs in _rgs_groups(n):
-        sx, sy, masks = _screen(levels, srcs, rows, masses, hy)
+    front = np.empty((0, n), dtype=np.uint16)
+    for group in _rgs_groups(n):
+        sx, sy, masks, counts = _screen(*group, rows, masses, hy)
         keep = ~weakly_dominated(xs, ys, sx + delta, sy + delta)
-        block, masks = levels[-1][keep], masks[keep]
-        bx, by = np.empty(len(block)), np.empty(len(block))
-        ms = block.max(axis=1) + 1
-        for m in np.unique(ms).tolist():
-            at = ms == m
+        masks, counts = masks[keep], counts[keep]
+        bx, by = np.empty(len(masks)), np.empty(len(masks))
+        for m in np.unique(counts).tolist():
+            at = counts == m
             bx[at], by[at] = _objectives(cells[masks[at, :m]], hy)
         xs, ys = np.concatenate((xs, bx)), np.concatenate((ys, by))
-        labels = np.concatenate((labels, block))
+        front = np.concatenate((front, masks))
         keep = np.flatnonzero(pareto_mask(np.column_stack((xs, ys))))
         # ascending x, so the next pareto_mask sorts mostly sorted rows
         keep = keep[np.argsort(xs[keep], kind="stable")]
-        xs, ys, labels = xs[keep], ys[keep], labels[keep]
-    points = zip(xs.tolist(), ys.tolist(), _encoders(labels))
+        xs, ys, front = xs[keep], ys[keep], front[keep]
+    points = zip(xs.tolist(), ys.tolist(), _encoders(_labels(front)))
     return ParetoSet(ParetoPoint(x, y, encoder=e) for x, y, e in points)
 
 

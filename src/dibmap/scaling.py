@@ -36,7 +36,8 @@ import numpy as np
 from ._util import as_integer, check_seed, derive_seed, least_squares_line
 from .distributions import sample_simplex
 from .mapper import SearchConfig, pareto_mapper
-from .oracle import bell_number, brute_force_frontier
+from .errors import CapacityError
+from .oracle import MAX_EXHAUSTIVE_N, bell_number, brute_force_frontier
 from .pareto import pareto_mask
 
 _TAGS = ("independent", "comonotone", "countermonotone", "gaussian")
@@ -244,8 +245,12 @@ def dib_frontier_scaling(
     if trials < 1:
         raise ValueError("at least 1 trial is required")
     n_values = [as_integer("input size", n, 1) for n in n_values]
-    ny = as_integer("ny", ny)
+    ny = as_integer("ny", ny, 1)
     check_seed(seed)
+    if engine == "oracle" and max(n_values, default=0) > MAX_EXHAUSTIVE_N:
+        raise CapacityError(
+            f"n = {max(n_values)} exceeds the exhaustive cap {MAX_EXHAUSTIVE_N}"
+        )
     rows = []
     for n in n_values:
         front = np.empty(trials)

@@ -436,10 +436,14 @@ class TestExitCodes:
          '{"points": [{"H": 1' + "0" * 400 + ', "I": 0.5}]}',
          '{"points": [{"H": 0.5, "I": -1' + "0" * 400 + '}]}',
          '{"points": [[0.5, 0.5]]}',
-         '[{"H": 0.5, "I": 0.5}]'],
+         '[{"H": 0.5, "I": 0.5}]',
+         # the 2x2 diagonal frontier, (0, 0) and (1, 1), with two points it dominates
+         '{"points": [{"H": 0, "I": 0}, {"H": 0.5, "I": 0}, {"H": 1, "I": 1},'
+         ' {"H": 1, "I": 0.5}]}',
+         '{"points": [{"H": 0, "I": 0}, {"H": 1, "I": 1}, {"H": 1.0, "I": 1.0}]}'],
         ids=["H-nan", "H-inf", "H-neg-inf", "I-nan", "I-inf", "I-neg-inf", "H-null",
              "H-true", "I-false", "H-huge-int", "I-huge-negative-int", "list-entry",
-             "top-level-list"],
+             "top-level-list", "dominated-point", "duplicate-point"],
     )
     def test_bad_candidate_is_exit_one(self, tmp_path, capsys, diag2, text):
         candidate = tmp_path / "candidate.json"

@@ -327,8 +327,9 @@ class TestRowPermutation:
 
 
 class TestPush:
-    """_push, the oracle's and the bootstrap's push-forward of K label
-    strings against one matrix, against push_forward, exactly."""
+    """_push, the bootstrap's push-forward of K label strings against one
+    matrix and the reference the oracle's subset-table cells are checked
+    against, against push_forward, exactly."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 5))
     @settings(max_examples=40, deadline=None)
@@ -391,9 +392,10 @@ class TestPush:
 
 
 class TestMergeObjectives:
-    """The batched kernels, the search's merge_objectives and the oracle's
-    _objectives(_push(...)), against the from-scratch evaluation and the
-    closed form push_forward + mutual_information."""
+    """The batched kernels, the search's merge_objectives and
+    _objectives(_push(...)), the reduction the oracle's exact stage and the
+    bootstrap run, against the from-scratch evaluation and the closed form
+    push_forward + mutual_information."""
 
     @given(
         st.integers(0, 2**32 - 1), st.integers(2, 7), st.integers(1, 4),

@@ -27,11 +27,12 @@ from dibmap.oracle import (
     BLOCK_ROWS,
     SCORE_BLOCK,
     _encoders,
-    _rgs_blocks,
+    _labels,
     _rgs_groups,
     _screen,
     _screen_slack,
     _subset_tables,
+    _tail,
 )
 
 
@@ -68,16 +69,35 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             next(enumerate_partitions(0))
 
+    @staticmethod
+    def blocks(monkeypatch, n):
+        """The cluster-mask blocks enumerate_partitions(n) turns into label
+        rows, and the partitions it yields."""
+        seen = []
+
+        def labels(masks):
+            seen.append(masks)
+            return _labels(masks)
+
+        monkeypatch.setattr(dm.oracle, "_labels", labels)
+        return seen, [f.assignment for f in enumerate_partitions(n)]
+
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_blocks_are_every_canonical_labeling_in_order(self, n):
+    def test_blocks_are_every_canonical_labeling_in_order(self, monkeypatch, n):
         every = sorted({canonicalize(a).assignment
                         for a in itertools.product(range(n), repeat=n)})
-        got = [tuple(r) for r in np.concatenate(list(_rgs_blocks(n))).tolist()]
-        assert got == every
+        blocks, got = self.blocks(monkeypatch, n)
+        masks = np.concatenate(blocks)
+        # each row's clusters are disjoint and cover the n symbols
+        assert masks.dtype == np.uint16 and masks.shape == (len(every), n)
+        assert (np.bitwise_or.reduce(masks, axis=1) == 2**n - 1).all()
+        assert (masks.sum(axis=1, dtype=np.int64) == 2**n - 1).all()
+        assert [tuple(r) for r in _labels(masks).tolist()] == got == every
 
-    def test_blocks_are_bounded(self):
-        sizes = [len(b) for b in _rgs_blocks(10)]
-        assert sum(sizes) == bell_number(10)
+    def test_blocks_are_bounded(self, monkeypatch):
+        blocks, got = self.blocks(monkeypatch, 10)
+        sizes = [len(b) for b in blocks]
+        assert sum(sizes) == len(got) == bell_number(10)
         assert len(sizes) > 1 and max(sizes) <= BLOCK_ROWS
 
     def test_bell_recurrence(self):
@@ -111,8 +131,10 @@ def offer_every_partition(joint):
 
 
 def exact_objectives(block, p, hy):
-    """The oracle's exact stage on every row of a block: one
-    _objectives(_push(...)) batch per cluster count."""
+    """The exact objectives of every label row of a block, as the search
+    scores them: one _objectives(_push(...)) batch per cluster count. The
+    oracle gathers its cells from subset tables instead; these are the
+    values its screen and its exact stage are checked against."""
     xs, ys = np.empty(len(block)), np.empty(len(block))
     ms = block.max(axis=1)
     for m in set(ms.tolist()):
@@ -166,6 +188,17 @@ class TestBruteForceFrontier:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             brute_force_frontier(sample_simplex(14, 2, seed=0))
+
+    def test_only_the_frontier_becomes_label_rows(self, monkeypatch):
+        rows = []
+
+        def labels(masks):
+            rows.append(len(masks))
+            return _labels(masks)
+
+        monkeypatch.setattr(dm.oracle, "_labels", labels)
+        frontier = brute_force_frontier(sample_simplex(9, 5, 3))
+        assert rows == [len(frontier)] and len(frontier) < bell_number(9)
 
     @pytest.mark.parametrize(
         "make_joint", [repeated_row_joint, diagonal_joint], ids=["repeated-rows", "diag9"]
@@ -271,20 +304,29 @@ class TestPrefixKernel:
         delta = _screen_slack(n, p.shape[1])
         cells, rows, masses = _subset_tables(p)
         assert cells.shape == (2**n, p.shape[1]) and rows.shape == masses.shape == (2**n,)
-        for levels, srcs in _rgs_groups(n):
-            # each level extends the one before; the last holds n labels
-            assert len(levels) == len(srcs) + 1 == min(n, 3)
-            assert levels[-1].shape[1] == n
-            for level, src, longer in zip(levels, srcs, levels[1:]):
-                np.testing.assert_array_equal(longer[:, :-1], level[src])
-            sx, sy, masks = _screen(levels, srcs, rows, masses, hy)
-            x, y = exact_objectives(levels[-1], p, hy)
-            assert sx.shape == sy.shape == (len(levels[-1]),)
+        head = _tail(n).start
+        assert head == max(1, n - 2) and _tail(n).stop == n
+        for pre, counts in _rgs_groups(n):
+            # a group's prefixes hold the symbols before the tail
+            assert pre.dtype == np.uint16 and pre.shape[1] == n
+            assert not (pre >> head).any()
+            np.testing.assert_array_equal(counts, _labels(pre).max(axis=1) + 1)
+            sx, sy, masks, ms = _screen(pre, counts, rows, masses, hy)
+            block = _labels(masks)
+            # the block extends each prefix in turn, in lex order, and
+            # carries each row's cluster count
+            own = masks & np.uint16((1 << head) - 1)
+            first = np.append(True, (own[1:] != own[:-1]).any(axis=1))
+            np.testing.assert_array_equal(own[first], pre)
+            assert [tuple(r) for r in block.tolist()] == sorted(map(tuple, block.tolist()))
+            np.testing.assert_array_equal(ms, block.max(axis=1) + 1)
+            x, y = exact_objectives(block, p, hy)
+            assert sx.shape == sy.shape == (len(block),)
             assert np.all(np.abs(sx - x) <= delta) and np.all(np.abs(sy - y) <= delta)
             # the subset cells of a row's masks are its push, bit for bit;
             # empty clusters gather the empty subset's zero cell, as _push pads
             assert masks.dtype == np.uint16
-            assert cells[masks].tobytes() == _push(levels[-1], p, n).tobytes()
+            assert cells[masks].tobytes() == _push(block, p, n).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -322,9 +364,9 @@ class TestScreen:
             groups = list(_rgs_groups(n))
         so_far = ParetoSet()
         terms = _subset_tables(p)[1:]
-        for levels, srcs in groups:
-            sx, sy, _ = _screen(levels, srcs, *terms, hy)
-            x, y = exact_objectives(levels[-1], p, hy)
+        for group in groups:
+            sx, sy, masks, _ = _screen(*group, *terms, hy)
+            x, y = exact_objectives(_labels(masks), p, hy)
             assert np.all(np.abs(sx - x) <= delta) and np.all(np.abs(sy - y) <= delta)
             rows = zip((sx + delta).tolist(), (sy + delta).tolist(), x.tolist(), y.tolist())
             for cx, cy, xi, yi in rows:

@@ -10,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 import dibmap.scaling
 from dibmap import (
+    CapacityError,
     CopulaKind,
     dib_frontier_scaling,
     harmonic_number,
@@ -363,6 +364,22 @@ class TestDibFrontierScaling:
     def test_rejects_non_integer_ny(self, ny):
         with pytest.raises(ValueError, match="ny must be an integer"):
             dib_frontier_scaling([4], 1, 0, ny=ny)
+
+    def test_rejects_zero_ny_with_no_input_sizes(self):
+        with pytest.raises(ValueError, match="ny must be at least 1"):
+            dib_frontier_scaling([], 1, 1, ny=0)
+
+    def test_rejects_an_oracle_past_the_cap_before_any_trial(self, monkeypatch):
+        calls, real = [], dibmap.scaling.brute_force_frontier
+
+        def spy(joint):
+            calls.append(joint.nx)
+            return real(joint)
+
+        monkeypatch.setattr(dibmap.scaling, "brute_force_frontier", spy)
+        with pytest.raises(CapacityError, match="n = 14 exceeds the exhaustive cap 13"):
+            dib_frontier_scaling([4, 14], 1, 1)
+        assert calls == []
 
     @pytest.mark.parametrize("engine", ["oracle", "greedy"])
     def test_rejects_a_negative_seed(self, engine):
