@@ -21,26 +21,29 @@ parents' pushed-forward arrays, updating only the cells each merge touches,
 in parent-aligned slices of about CHUNK_CHILDREN children. Frontier offers
 stay strictly sequential in (parent, merge pair) order, the order of a
 breadth-first queue, and so do the random draws.
-The batched values depend on the merge path in their last bits, so a
-child within INFO_TOL of the frontier is decided on its objectives from
-scratch, a path-independent value: one partition, or two with equal
-multisets of cells, never becomes several frontier points. The children
-of an offer block that its frontier snapshot (below) leaves within reach
-of that distance are scored from scratch together, in one call of the
-evaluator's objectives, before any of them is offered; an offer reads the
-value only where d <= INFO_TOL. A child's labels are built, through the
-level's merge table, only where they are read: for those children, and as
-a row of the next level when it is kept. A child that enters the frontier
-enters as a bare ParetoPoint, its labels kept as bytes in a table keyed by
-its (x, y); only the points that survive the search get an Encoder, when
-it ends.
+The batched values depend on the merge path in their last bits, so a child
+that can land within INFO_TOL of the frontier is offered on its objectives
+from scratch, a path-independent value: one partition, or two with equal
+multisets of cells, never becomes several frontier points. The children of
+an offer block that its frontier snapshot (below) leaves within reach of
+that distance, its near children, are scored from scratch together, in one
+call of the evaluator's objectives, before any of them is offered, and
+that value replaces their merge-path one. Every other child keeps its
+merge-path value and lies more than INFO_TOL inside the dominated region,
+so it cannot enter and is not offered to the frontier's add. Each child is
+decided on one (x, y): a near child is offered to add once, and at 0 <
+epsilon < inf a child that does not enter asks its distance once, for its
+keep draw. A child's labels are built, through the level's merge table,
+only where they are read: for the near children, and as a row of the next
+level when it is kept. A child that enters the frontier enters as a bare
+ParetoPoint, its labels kept as bytes in a table keyed by its (x, y); only
+the points that survive the search get an Encoder, when it ends.
 
 Most children are far inside the dominated region, so each block of
 OFFER_BLOCK children is first tested against a snapshot of the frontier in
 one batched query. A child is skipped when its corner (x + r, y + r) is
-dominated; its reach r (see _reach) makes such a child provably one whose
-offer would neither read its objectives from scratch nor admit it, and
-fixes its keep decision:
+dominated; its reach r (see _reach) makes such a child provably one that
+is not near, whose offer would not admit it, and fixes its keep decision:
 dropped below an infinite epsilon, kept at it. The dominated region only
 grows during a search, so a corner dominated by the snapshot is dominated
 at offer time too, and skipping these children leaves the frontier, the
@@ -106,9 +109,10 @@ def enqueue_probability(d: float, epsilon: float) -> float:
     """exp(-d / epsilon), with the greedy and brute-force limits.
 
     epsilon = 0 returns 1 for d = 0 and 0 otherwise; an infinite epsilon
-    always returns 1. The greedy search does not call this at epsilon = 0:
-    it keeps only the children that enter the frontier, not the wall ties
-    that also have d = 0.
+    always returns 1. The search calls this only for 0 < epsilon < inf, on
+    a child that did not enter: at epsilon = 0 it keeps only the children
+    that enter the frontier, not the wall ties that also have d = 0, and at
+    an infinite epsilon it keeps every child.
     """
     if not d >= 0:  # also rejects NaN
         raise ValueError("distance must be >= 0")
@@ -123,15 +127,15 @@ def enqueue_probability(d: float, epsilon: float) -> float:
 
 def _reach(draws: np.ndarray, epsilon: float) -> np.ndarray:
     """Per child, a distance r such that a child whose corner (x + r, y + r)
-    is dominated by the frontier is neither re-evaluated, entered nor, for
-    epsilon < inf, kept; at epsilon = inf it is kept.
+    is dominated by the frontier is neither near, entered nor, for epsilon
+    < inf, kept; at epsilon = inf it is kept.
 
     The dominated region is a down-set, so a dominated corner puts every
     exit of the staircase from (x, y) at least r away: distance() returns r
     less a few ulps of the coordinates, far inside INFO_TOL. With r >= 2 *
-    INFO_TOL that is d > INFO_TOL, so the child is not evaluated again and,
-    as d != 0, does not enter; at epsilon = 0 it is dropped, and at epsilon
-    = inf it is kept, since every draw is below 1. For 0 < epsilon < inf
+    INFO_TOL its corner at 2 * INFO_TOL is dominated too, so the child is
+    not near and, as d > INFO_TOL, does not enter; at epsilon = 0 it is
+    dropped, and at epsilon = inf it is kept. For 0 < epsilon < inf
     the child is dropped when draw >= exp(-d / epsilon). Here d / epsilon
     >= -ln(draw) + 1e-12, so exp(-d / epsilon) lies at least a relative
     1e-12 below the draw, while computing it errs by a few ulps (draws are
@@ -348,8 +352,6 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
         raise ValueError("search supports at most 255 input symbols")
     rng = np.random.default_rng(cfg.seed)
     epsilon = cfg.epsilon
-    greedy = epsilon == 0.0
-    brute = math.isinf(epsilon)
     frontier = ParetoSet()
 
     level = np.arange(n, dtype=np.uint8)[None]  # the identity clustering
@@ -386,38 +388,35 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
         # a child is offered when the snapshot leaves its corner at its
         # reach undominated (live), and can land within INFO_TOL only when
         # the snapshot leaves its corner at 2 * INFO_TOL undominated (near,
-        # a subset of live; see _reach)
+        # a subset of live, and all of it at epsilon 0 or inf; see _reach)
         reach = np.stack((_reach(draws, epsilon), np.full(len(new), 2 * INFO_TOL)))
         searched += len(new)
-        # a child the snapshot test drops keeps this verdict (see _reach)
-        keep = np.full(len(new), brute)
+        # the verdict at epsilon 0 or inf on a child that does not enter,
+        # and on any child the snapshot test drops (see _reach)
+        keep = np.full(len(new), math.isinf(epsilon))
         for lo in range(0, len(new), OFFER_BLOCK):
             hi = lo + OFFER_BLOCK
             r = reach[:, lo:hi]
             # the frontier only grows, so this snapshot's verdicts hold for
             # the whole block
-            masks = dominated(xs[lo:hi] + r, ys[lo:hi] + r)
-            live, near = (lo + np.flatnonzero(~mask) for mask in masks)
-            exact = {}  # the near children's labels and objectives from scratch
-            if len(near):
+            free = ~dominated(xs[lo:hi] + r, ys[lo:hi] + r)
+            at = np.flatnonzero(free[0])  # the live children, counted from lo
+            is_near = free[1, at]
+            live, near = lo + at, lo + at[is_near]
+            if len(near):  # a tie may hinge on the path-dependent last bits
                 rows = merge[pair[near, None], level[parent[near]]]
-                ex, ey = objectives(rows)
-                exact = dict(zip(near.tolist(), zip(rows, ex.tolist(), ey.tolist())))
-            for k, x, y, draw in zip(
-                live.tolist(), xs[live].tolist(), ys[live].tolist(), draws[live].tolist()
+                xs[near], ys[near] = objectives(rows)
+            for k, x, y, draw, can_enter in zip(
+                live.tolist(), xs[live].tolist(), ys[live].tolist(), draws[live].tolist(),
+                is_near.tolist(),
             ):
-                d = distance(x, y)
-                if d <= INFO_TOL:  # a tie may hinge on the path-dependent last bits
-                    row, x, y = exact[k]
-                    d = distance(x, y)
-                # an entering child has d = 0, so it is offered its exact values
-                entered = d == 0.0 and add(ParetoPoint(x, y))
-                if entered:
-                    labels[x, y] = row.tobytes()
+                if can_enter and add(ParetoPoint(x, y)):  # only a near child can enter
+                    labels[x, y] = rows[np.searchsorted(near, k)].tobytes()
                     if len(labels) > 2 * len(frontier):  # drop the evicted points' labels
                         labels = {(pt.x, pt.y): labels[pt.x, pt.y] for pt in frontier}
-                # at epsilon = 0, d is also 0 on the walls: keep entries only
-                keep[k] = entered if greedy else draw < enqueue_probability(d, epsilon)
+                    keep[k] = True
+                elif 0.0 < epsilon < math.inf:
+                    keep[k] = draw < enqueue_probability(distance(x, y), epsilon)
         level = merge[pair[keep, None], level[parent[keep]]]
         enqueued += len(level)
         m -= 1

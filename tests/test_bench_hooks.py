@@ -46,12 +46,12 @@ def test_install_traces_and_restores(spans):
 
 def test_search_offers_go_through_the_traced_frontier(spans):
     # the search builds its frontier from the module-level name, so the
-    # children that pass the snapshot test reach the timed distance()
+    # children that pass the snapshot test reach the timed add()
     tracer = spans.Tracer()
     joint = dibmap.sample_simplex(7, 4, 5)
     with spans.install(tracer):
         frontier, stats = dibmap.pareto_mapper(joint, dibmap.SearchConfig(0.0, 1))
-    calls = tracer.leaf_total("pareto.distance")[0]
+    calls = tracer.leaf_total("pareto.add")[0]
     assert 0 < calls <= stats.points_searched
     assert tracer.frontiers == [frontier]
 

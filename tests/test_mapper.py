@@ -244,6 +244,50 @@ class TestGoldenCounts:
         assert frontier_digest(frontier) == digest
 
 
+def search_problem(kind):
+    """A small plain or symmetric (search, problem) pair."""
+    if kind == "plain":
+        return pareto_mapper, sample_simplex(8, 4, 3)
+    p = np.random.default_rng(3).exponential(size=(6, 6, 3))
+    return dm.symmetric_pareto_mapper, dm.TripleJointPMF(p / p.sum())
+
+
+class TestOfferQueries:
+    """Each live child is decided on one value: only a near child is offered
+    to add, and only a keep draw at 0 < epsilon < inf asks distance, once,
+    for a child that did not enter."""
+
+    @pytest.mark.parametrize("kind", ["plain", "symmetric"])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05, math.inf])
+    def test_distance_only_for_a_keep_draw(self, monkeypatch, kind, epsilon):
+        offered, entered, asked = [], set(), []
+
+        class SpySet(ParetoSet):
+            def add(self, p):
+                offered.append((p.x, p.y))
+                if super().add(p):
+                    entered.add((p.x, p.y))
+                    return True
+                return False
+
+            def distance(self, x, y):
+                asked.append((x, y))
+                return super().distance(x, y)
+
+        monkeypatch.setattr(dm.mapper, "ParetoSet", SpySet)
+        search, problem = search_problem(kind)
+        _, stats = search(problem, SearchConfig(epsilon, 1))
+        assert 1 < len(entered) <= len(offered) <= stats.points_searched
+        if epsilon in (0.0, math.inf):
+            assert not asked
+        else:
+            # no two children of these problems share a value, so a value
+            # asked twice would be one child asked twice
+            assert asked and len(set(asked)) == len(asked)
+            assert not entered.intersection(asked)
+            assert len(asked) + len(entered) <= stats.points_searched
+
+
 def unique_children(level):
     """Reference dedup: every child's labels, parent-major then in pair
     order, and the first occurrence of each distinct row."""
@@ -444,6 +488,34 @@ class TestMergeObjectives:
             for u, v in ((xs[k], ys[k]), closed):
                 assert u == pytest.approx(x, abs=1e-12)
                 assert v == pytest.approx(y, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "make_evaluator",
+        [lambda: _JointEvaluator(sample_simplex(40, 30, 7)),
+         lambda: _TripleEvaluator(dm.TripleJointPMF(
+             (p := np.random.default_rng(7).exponential(size=(12, 12, 5))) / p.sum()))],
+        ids=["plain-40x30", "symmetric-12"],
+    )
+    @pytest.mark.parametrize("level", ["identity", "half", "three"])
+    def test_level_within_search_tolerance(self, make_evaluator, level):
+        # the search decides a near child on its from-scratch value and every
+        # other child on its merge-path value, which is decided the same only
+        # while the two differ far less than INFO_TOL; here for every child
+        # of the identity or of 8 random parents of n // 2 or 3 clusters
+        ev = make_evaluator()
+        if level == "identity":
+            parents = np.arange(ev.n, dtype=np.uint8)[None]
+        else:
+            m = ev.n // 2 if level == "half" else 3
+            parents = labels_with_m_clusters(np.random.default_rng(m), ev.n, m, 8)
+        m = int(parents.max()) + 1
+        i_idx, j_idx = np.triu_indices(m, k=1)
+        parent = np.repeat(np.arange(len(parents)), len(i_idx))
+        pair = np.tile(np.arange(len(i_idx)), len(parents))
+        xs, ys = ev.merge_objectives(parents, parent, i_idx[pair], j_idx[pair])
+        ex, ey = ev.objectives(_merge_table(i_idx, j_idx, m)[pair[:, None], parents[parent]])
+        assert np.abs(xs - ex).max() <= 1e-12
+        assert np.abs(ys - ey).max() <= 1e-12
 
     @pytest.mark.parametrize(
         "make_evaluator",

@@ -121,12 +121,15 @@ def repeated_row_joint():
 
 
 def offer_every_partition(joint):
-    """(x, y, encoder) of every partition, scored by the search's evaluate,
-    offered to a ParetoSet in lex order."""
-    evaluate = _JointEvaluator(joint).evaluate
+    """(x, y, encoder) of every partition, scored with the bits of the
+    search's evaluate (one batch per cluster count), offered to a ParetoSet
+    one at a time in lex order."""
+    encoders = list(enumerate_partitions(joint.nx))
+    block = np.array([e.assignment for e in encoders], dtype=np.uint8)
+    xs, ys = exact_objectives(block, joint.p, _JointEvaluator(joint).hy)
     offered = ParetoSet()
-    for e in enumerate_partitions(joint.nx):
-        offered.add(ParetoPoint(*evaluate(e.assignment), encoder=e))
+    for x, y, e in zip(xs.tolist(), ys.tolist(), encoders):
+        offered.add(ParetoPoint(x, y, encoder=e))
     return [(p.x, p.y, p.encoder) for p in offered]
 
 
