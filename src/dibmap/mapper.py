@@ -70,6 +70,9 @@ per slice of an objectives call; bounds the kernels' working arrays."""
 OFFER_BLOCK = 256
 """Children tested against one frontier snapshot before they are offered."""
 
+MAX_SEARCH_N = 255
+"""Most input symbols a search takes: its labels are uint8."""
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -307,7 +310,7 @@ class _JointEvaluator:
 
     def objectives(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Objectives of K >= 1 clusterings of one cluster count, from
-        scratch and path-independent: (xs, ys) of the (K, n) uint8 labels.
+        scratch and path-independent: (xs, ys) of the (K, n) integer labels.
 
         One bincount pushes a slice of rows. Its input is laid out as (row,
         position, y), so each cell adds its rows in ascending position, as
@@ -324,12 +327,6 @@ class _JointEvaluator:
             return _objectives(pushed.reshape(-1, m, ny), self.hy)
 
         return _in_slices(score, labels, self.rows.size)
-
-    def evaluate(self, labels) -> tuple[float, float]:
-        """Objectives of one clustering, its labels in any form bytes() takes:
-        the one-row case of objectives."""
-        xs, ys = self.objectives(np.frombuffer(bytes(labels), dtype=np.uint8)[None])
-        return float(xs[0]), float(ys[0])
 
     def merge_objectives(self, parents: np.ndarray, parent, i_idx, j_idx):
         """Objectives of the children merging clusters i < j of parents[parent].
@@ -348,14 +345,16 @@ class _JointEvaluator:
 def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
     """The level-synchronous search loop shared by the plain and symmetric mappers."""
     n = evaluator.n
-    if n > 255:
-        raise ValueError("search supports at most 255 input symbols")
+    if n > MAX_SEARCH_N:
+        raise ValueError(f"search supports at most {MAX_SEARCH_N} input symbols")
     rng = np.random.default_rng(cfg.seed)
     epsilon = cfg.epsilon
     frontier = ParetoSet()
+    objectives = evaluator.objectives
 
     level = np.arange(n, dtype=np.uint8)[None]  # the identity clustering
-    x0, y0 = evaluator.evaluate(level[0])
+    xs, ys = objectives(level)
+    x0, y0 = float(xs[0]), float(ys[0])  # Python floats, as every offered (x, y)
     frontier.add(ParetoPoint(x0, y0))
     # Each frontier point's labels, keyed by its (x, y). A key is never
     # offered twice: an evicted point's (x, y) stays dominated.
@@ -363,7 +362,6 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
     searched = 1
     enqueued = 1
 
-    objectives = evaluator.objectives
     dominated = frontier.dominated
     distance = frontier.distance
     add = frontier.add

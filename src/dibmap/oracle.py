@@ -24,7 +24,7 @@ another order, and delta is a summation error bound (_screen_slack), so
 each dropped row is dominated exactly too. The rows left are scored
 exactly in one batch per cluster count m, mapper._objectives of their
 clusters' table cells: these are the cells _push gives, bit for bit, so
-every partition gets the floats the search's evaluate gives it, exact ties
+every partition gets the floats the evaluators' objectives give it, exact ties
 included. They are merged with the frontier so far, held as arrays, by one
 pareto_mask, which also drops the rows that frontier weakly dominates, and
 carries the survivors' masks. The final frontier's label rows are checked
@@ -213,7 +213,7 @@ def brute_force_frontier(joint: JointPMF) -> ParetoSet:
     (_screen_slack), so that row's exact (x, y) is dominated too, and only
     the rest are scored exactly, in one mapper._objectives batch per cluster
     count m <= n. That stage sums fewer terms than the screen, so delta
-    still covers it, and its values are those of the search's evaluate.
+    still covers it, and its values are those of the evaluators' objectives.
     Each block's rows follow the frontier's,
     which come earlier in lex order, and pareto_mask keeps the first of
     exact duplicates, so the merge drops every row the frontier so far

@@ -35,7 +35,7 @@ import numpy as np
 
 from ._util import as_integer, check_seed, derive_seed, least_squares_line
 from .distributions import sample_simplex
-from .mapper import SearchConfig, pareto_mapper
+from .mapper import MAX_SEARCH_N, SearchConfig, pareto_mapper
 from .errors import CapacityError
 from .oracle import MAX_EXHAUSTIVE_N, bell_number, brute_force_frontier
 from .pareto import pareto_mask
@@ -237,7 +237,7 @@ def dib_frontier_scaling(
     """Frontier size and work vs input size, on random simplex-sampled joints.
 
     engine 'oracle' enumerates every partition (n capped at 13); 'greedy'
-    runs the agglomerative search at epsilon = 0.
+    runs the agglomerative search at epsilon = 0 (n capped at 255).
     """
     if engine not in ("oracle", "greedy"):
         raise ValueError("engine must be 'oracle' or 'greedy'")
@@ -251,6 +251,8 @@ def dib_frontier_scaling(
         raise CapacityError(
             f"n = {max(n_values)} exceeds the exhaustive cap {MAX_EXHAUSTIVE_N}"
         )
+    if engine == "greedy" and max(n_values, default=0) > MAX_SEARCH_N:
+        raise ValueError(f"search supports at most {MAX_SEARCH_N} input symbols")
     rows = []
     for n in n_values:
         front = np.empty(trials)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import _check_pmf, xlog2x
+from .distributions import _check_pmf, save_matrix_csv, xlog2x
 from .encoders import Encoder
 from .errors import DimensionMismatchError, InvalidDistributionError
 from .mapper import (
@@ -99,12 +99,6 @@ class _TripleEvaluator:
 
         return _in_slices(score, labels, self.p.size)
 
-    def evaluate(self, labels) -> tuple[float, float]:
-        """Objectives of one encoder, its labels in any form bytes() takes:
-        the one-row case of objectives."""
-        xs, ys = self.objectives(np.frombuffer(bytes(labels), dtype=np.uint8)[None])
-        return float(xs[0]), float(ys[0])
-
     def merge_objectives(self, parents: np.ndarray, parent, i_idx, j_idx):
         """Objectives of the children merging clusters i < j of parents[parent]."""
         q = self._cells(parents)
@@ -120,7 +114,9 @@ def symmetric_objectives(triple: TripleJointPMF, f: Encoder) -> tuple[float, flo
         raise DimensionMismatchError(
             f"encoder domain {f.n} != triple domain {triple.g}"
         )
-    return _TripleEvaluator(triple).evaluate(f.assignment)
+    # int64 labels: a domain of any size
+    xs, ys = _TripleEvaluator(triple).objectives(np.array([f.assignment]))
+    return float(xs[0]), float(ys[0])
 
 
 def symmetric_pareto_mapper(
@@ -132,8 +128,7 @@ def symmetric_pareto_mapper(
 
 def save_triple_csv(path, triple: TripleJointPMF) -> None:
     """Write a triple PMF as g^2 rows * ny columns (row index = x1*g + x2)."""
-    g = triple.g
-    np.savetxt(path, triple.p.reshape(g * g, triple.ny), delimiter=",", fmt="%.17g")
+    save_matrix_csv(path, triple.p.reshape(triple.g**2, triple.ny))
 
 
 def load_triple_csv(path) -> TripleJointPMF:

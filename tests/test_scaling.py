@@ -381,6 +381,18 @@ class TestDibFrontierScaling:
             dib_frontier_scaling([4, 14], 1, 1)
         assert calls == []
 
+    def test_rejects_a_search_past_the_cap_before_any_trial(self, monkeypatch):
+        calls, real = [], dibmap.scaling.pareto_mapper
+
+        def spy(joint, cfg):
+            calls.append(joint.nx)
+            return real(joint, cfg)
+
+        monkeypatch.setattr(dibmap.scaling, "pareto_mapper", spy)
+        with pytest.raises(ValueError, match="search supports at most 255 input symbols"):
+            dib_frontier_scaling([4, 256], 1, 1, ny=2, engine="greedy")
+        assert calls == []
+
     @pytest.mark.parametrize("engine", ["oracle", "greedy"])
     def test_rejects_a_negative_seed(self, engine):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):

@@ -134,6 +134,21 @@ class TestSymmetricObjectives:
         assert x == pytest.approx(xr, abs=1e-11)
         assert y == pytest.approx(yr, abs=1e-11)
 
+    @pytest.mark.parametrize("encoder", ["identity", "two-to-one"])
+    def test_domain_past_the_search_cap(self, encoder):
+        # one shared encoder scores any domain size; only the search is
+        # capped at 255 symbols
+        t = random_triple(257, 3, 257)
+        if encoder == "identity":
+            f = Encoder.identity(257)
+        else:
+            f = Encoder(tuple(a // 2 for a in range(257)))
+        x, y = symmetric_objectives(t, f)
+        xr, yr = objectives_by_definition(t, f)
+        assert type(x) is type(y) is float
+        assert x == pytest.approx(xr, abs=1e-12)
+        assert y == pytest.approx(yr, abs=1e-12)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_feasibility_and_data_processing(self, seed):
         rng = np.random.default_rng(seed)
@@ -226,7 +241,7 @@ class TestMergeObjectives:
         for k in range(len(parent)):
             lab = parents[parent[k]]
             f = canonicalize(np.where(lab == j_idx[k], i_idx[k], lab))
-            for x, y in (ev.evaluate(f.assignment), objectives_by_definition(triple, f)):
+            for x, y in (symmetric_objectives(triple, f), objectives_by_definition(triple, f)):
                 assert xs[k] == pytest.approx(x, abs=1e-12)
                 assert ys[k] == pytest.approx(y, abs=1e-12)
 
