@@ -244,38 +244,40 @@ def _onehot(labels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _push(labels: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
-    """(K, m, w) pushed-forward matrices of K label strings (K, n) against
-    the rows of one (n, w) matrix.
+def _ascending_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of each row of terms along its last axis in ascending order.
+    Sorts terms in place."""
+    terms.sort(axis=-1)
+    return terms.sum(axis=-1)
 
-    Each cluster's rows are summed in input order, the arithmetic of
-    push_forward's np.add.at, so the results agree bit for bit.
+
+def _reduce_terms(cells: np.ndarray, masses: np.ndarray, hy):
+    """Batched (-H(Z), I(Z;Y)) from the xlog2x terms of pushed matrices:
+    cells (..., m * ny) of their cells and masses (..., m) of their cluster
+    masses, both rows C-contiguous; hy is H(Y), one value or one per
+    matrix, broadcast against the leading axes. Sorts both in place.
+
+    This is the one reduction of pushed cells' terms. Each matrix's cell
+    terms and its mass terms are summed in ascending order, one contiguous
+    row per matrix, so a matrix gives the same floats in any batch of its
+    shape, whatever order its terms are gathered in, and two matrices with
+    equal multisets of cells give equal floats.
     """
-    out = np.zeros((len(labels), m, rows.shape[1]))
-    at = np.arange(len(labels))
-    for i in range(labels.shape[1]):
-        out[at, labels[:, i]] += rows[i]
-    return out
+    hz = np.maximum(-_ascending_sum(masses), 0.0)
+    # the cells' sum is -H(Z, Y)
+    return -hz, np.maximum(hz + hy + _ascending_sum(cells), 0.0)
 
 
 def _objectives(pushed: np.ndarray, hy):
-    """Batched (-H(Z), I(Z;Y)) of (..., m, ny) pushed matrices; hy is H(Y),
-    one value or one per matrix, broadcast against the leading axes. All-zero
-    clusters contribute nothing.
+    """Batched (-H(Z), I(Z;Y)) of (..., m, ny) pushed matrices, through
+    _reduce_terms. All-zero clusters contribute nothing.
 
-    This is the one from-scratch reduction of pushed cells. Each matrix's
-    cell terms and its mass terms are summed in ascending order, one row
-    per matrix, so a matrix gives the same floats in any batch of its shape,
-    and two matrices with equal multisets of cells give equal floats.
+    This is the one from-scratch reduction of pushed cells: each cluster's
+    mass is the sum of its row, and the terms go to _reduce_terms.
     """
     *lead, m, ny = pushed.shape
-    cells = xlog2x(pushed).reshape(*lead, m * ny)
     masses = xlog2x(pushed.sum(axis=-1))
-    cells.sort(axis=-1)
-    masses.sort(axis=-1)
-    hz = np.maximum(-masses.sum(axis=-1), 0.0)
-    # cells.sum is -H(Z, Y)
-    return -hz, np.maximum(hz + hy + cells.sum(axis=-1), 0.0)
+    return _reduce_terms(xlog2x(pushed).reshape(*lead, m * ny), masses, hy)
 
 
 def _merged_row_sums(q: np.ndarray, parent, i_idx, j_idx) -> np.ndarray:
@@ -313,8 +315,8 @@ class _JointEvaluator:
         scratch and path-independent: (xs, ys) of the (K, n) integer labels.
 
         One bincount pushes a slice of rows. Its input is laid out as (row,
-        position, y), so each cell adds its rows in ascending position, as
-        _push does.
+        position, y), so each cell adds its rows to 0.0 in ascending
+        position, as push_forward's np.add.at does.
         """
         m, ny = int(labels.max()) + 1, self.rows.shape[1]
         cols = np.arange(ny)

@@ -13,21 +13,24 @@ for every n. Label rows are built only for what leaves the module: the
 final frontier, or each block enumerate_partitions yields.
 
 Each block is screened through three tables built once per joint, one
-entry per subset S of the n symbols (_subset_tables): S's pushed cell, its
-sum of xlog2x terms and its mass term. A group's prefixes start from the
-sums of their clusters' terms; each of the last two positions grows one
-cluster's subset and swaps its terms for the grown one's, O(1) per string
-and position (_screen). The screen drops every row whose corner
-(x + delta, y + delta) the frontier so far weakly dominates: nearly all
-rows of a random joint. It sums the same floats as mapper._objectives in
-another order, and delta is a summation error bound (_screen_slack), so
-each dropped row is dominated exactly too. The rows left are scored
-exactly in one batch per cluster count m, mapper._objectives of their
-clusters' table cells: these are the cells _push gives, bit for bit, so
-every partition gets the floats the evaluators' objectives give it, exact ties
-included. They are merged with the frontier so far, held as arrays, by one
-pareto_mask, which also drops the rows that frontier weakly dominates, and
-carries the survivors' masks. The final frontier's label rows are checked
+entry per subset S of the n symbols (_subset_tables): the xlog2x terms
+of S's pushed cell, their sum and S's mass term. A group's prefixes
+start from the sums of their clusters' terms; each of the last two
+positions grows one cluster's subset and swaps its terms for the grown
+one's, O(1) per string and position (_screen). The screen drops every
+row whose corner (x + delta, y + delta) the frontier so far weakly
+dominates: nearly all rows of a random joint. It sums the same floats as
+mapper._objectives in another order, and delta is a summation error
+bound (_screen_slack), so each dropped row is dominated exactly too. The
+first block meets an empty frontier, so it is screened against its own
+screening values instead. The rows left are scored exactly in one batch
+per cluster count m, mapper._reduce_terms of their clusters' table
+terms. A cluster's table cell adds its rows to 0.0 in ascending
+position, as push_forward's np.add.at does, so every partition gets the
+floats the evaluators' objectives give it, exact ties included. They are
+merged with the frontier so far, held as arrays, by one pareto_mask,
+which also drops the rows that frontier weakly dominates, and carries
+the survivors' masks. The final frontier's label rows are checked
 canonical as one array.
 """
 
@@ -42,7 +45,7 @@ import numpy as np
 from .distributions import JointPMF, xlog2x
 from .encoders import Encoder
 from .errors import CapacityError
-from .mapper import _objectives
+from .mapper import _reduce_terms
 from .pareto import ParetoPoint, ParetoSet, pareto_mask, weakly_dominated
 
 MAX_EXHAUSTIVE_N = 13
@@ -125,32 +128,34 @@ def _labels(masks: np.ndarray) -> np.ndarray:
 
 
 def _subset_tables(p: np.ndarray):
-    """The pushed cell of every subset S of the n symbols, as a bitmask,
-    with its sum of xlog2x terms and its mass term: cells (2^n, ny), rows
-    and masses (2^n,).
+    """The xlog2x terms of the pushed cell of every subset S of the n
+    symbols, as a bitmask, with their sum and S's mass term: terms (2^n,
+    ny), rows and masses (2^n,).
 
-    cells[S] is cells[S - 2^i] + p[i] for S's top symbol i, so a cluster's
-    rows are added in ascending position from 0.0, as _push adds them: the
-    cells of a string's cluster masks are its _push cells bit for bit.
+    S's cell is S - 2^i's cell plus p[i] for S's top symbol i, so a
+    cluster's rows are added to 0.0 in ascending position, as push_forward's
+    np.add.at adds them: the terms of a string's cluster masks are those of
+    its pushed matrix bit for bit.
     """
     n, ny = p.shape
     cells = np.zeros((1 << n, ny))
     for i in range(n):
         np.add(cells[: 1 << i], p[i], out=cells[1 << i : 2 << i])
-    return cells, xlog2x(cells) @ np.ones(ny), xlog2x(cells.sum(axis=1))
+    terms = xlog2x(cells)
+    return terms, terms @ np.ones(ny), xlog2x(cells.sum(axis=1))
 
 
 def _screen(masks, counts, rows: np.ndarray, masses: np.ndarray, hy: float):
     """Screening values (sx, sy) of the block a group of prefixes (masks,
     counts) grows into (see _rgs_groups), and the block's (masks, counts).
     (sx, sy) lie within _screen_slack(n, ny) of the exact objectives of
-    every row r of m clusters, mapper._objectives(cells[masks[r, :m]], hy).
+    every row r of m clusters, the mapper._objectives of its pushed matrix.
 
-    rows and masses are _subset_tables' per-subset terms. Each prefix
-    starts from the sums of its clusters' terms. At each tail position i
-    a string that puts symbol i in cluster c grows that cluster's subset S
-    to S | 2^i, and its totals swap S's terms for the grown subset's: O(1)
-    per string.
+    rows and masses are _subset_tables' per-subset term sums and mass
+    terms. Each prefix starts from the sums of its clusters' terms. At
+    each tail position i a string that puts symbol i in cluster c grows
+    that cluster's subset S to S | 2^i, and its totals swap S's terms
+    for the grown subset's: O(1) per string.
     """
     row_tot = np.take(rows, masks).sum(axis=1)
     mass_tot = np.take(masses, masks).sum(axis=1)
@@ -211,33 +216,54 @@ def brute_force_frontier(joint: JointPMF) -> ParetoSet:
     A row whose screening corner (sx + delta, sy + delta) the frontier so
     far weakly dominates is dropped first: delta bounds the screen's error
     (_screen_slack), so that row's exact (x, y) is dominated too, and only
-    the rest are scored exactly, in one mapper._objectives batch per cluster
-    count m <= n. That stage sums fewer terms than the screen, so delta
-    still covers it, and its values are those of the evaluators' objectives.
-    Each block's rows follow the frontier's,
-    which come earlier in lex order, and pareto_mask keeps the first of
-    exact duplicates, so the merge drops every row the frontier so far
-    weakly dominates, and the points and their representatives are those
-    of offering every partition to a ParetoSet in lex order. The frontier
-    so far holds no two points with equal x, so keeping it in ascending x
-    changes nothing.
+    the rest are scored exactly, in one mapper._reduce_terms batch per
+    cluster count m <= n. That stage sums fewer terms than the screen, so
+    delta still covers it, and its values are those of the evaluators'
+    objectives.
+
+    The first block meets an empty frontier. There a row r is dropped
+    when a row q of the block reaches its corner at 3 delta: sx_q >=
+    sx_r + 3 delta and sy_q >= sy_r + 3 delta, as rounded. Those rows
+    are the ones whose corner the block's maximal screening values
+    (pareto_mask) weakly dominate. |sx_r| and |sy_r| stay below log2(n
+    ny) + 1 - 3 delta, so the rounded corner errs from the exact one by
+    at most 2 u (log2(n ny) + 1), u = 2^-53, while delta >= 150 u
+    (log2(n ny) + 1) (gamma_N >= 5 u in _screen_slack). So sx_q > sx_r +
+    2 delta and x_q >= sx_q - delta > sx_r + delta >= x_r; likewise y_q
+    > y_r. So r is strictly dominated and is neither a frontier point
+    nor the representative of a tie. The block's maximal rows reach no
+    corner of their own, so the block keeps at least one row.
+
+    Each block's rows follow the frontier's, which come earlier in lex
+    order, and pareto_mask keeps the first of exact duplicates, so the
+    merge drops every row the frontier so far weakly dominates, and the
+    points and their representatives are those of offering every
+    partition to a ParetoSet in lex order. The frontier so far holds no
+    two points with equal x, so keeping it in ascending x changes
+    nothing.
     """
     n = joint.nx
     if n > MAX_EXHAUSTIVE_N:
         raise CapacityError(f"nx = {n} exceeds the exhaustive cap {MAX_EXHAUSTIVE_N}")
     hy = float(-xlog2x(joint.marginal_y()).sum())
     delta = _screen_slack(n, joint.ny)
-    cells, rows, masses = _subset_tables(joint.p)
+    terms, rows, masses = _subset_tables(joint.p)
     xs = ys = np.empty(0)
     front = np.empty((0, n), dtype=np.uint16)
     for group in _rgs_groups(n):
         sx, sy, masks, counts = _screen(*group, rows, masses, hy)
-        keep = ~weakly_dominated(xs, ys, sx + delta, sy + delta)
+        if len(xs):
+            keep = ~weakly_dominated(xs, ys, sx + delta, sy + delta)
+        else:  # the first block, against its own maximal screening values
+            best = np.flatnonzero(pareto_mask(np.column_stack((sx, sy))))
+            best = best[np.argsort(sx[best])]
+            keep = ~weakly_dominated(sx[best], sy[best], sx + 3 * delta, sy + 3 * delta)
         masks, counts = masks[keep], counts[keep]
         bx, by = np.empty(len(masks)), np.empty(len(masks))
         for m in np.unique(counts).tolist():
             at = counts == m
-            bx[at], by[at] = _objectives(cells[masks[at, :m]], hy)
+            cl = masks[at, :m]
+            bx[at], by[at] = _reduce_terms(terms[cl].reshape(len(cl), -1), masses[cl], hy)
         xs, ys = np.concatenate((xs, bx)), np.concatenate((ys, by))
         front = np.concatenate((front, masks))
         keep = np.flatnonzero(pareto_mask(np.column_stack((xs, ys))))

@@ -16,9 +16,14 @@ differs. The output depends only on the seed. robust_pareto_mapper is
 pareto_mapper, then bootstrap_uncertainty on the whole frontier, then
 significance_filter.
 
-The objectives come from mapper._objectives, the reduction the search and
-the oracle also use, which sums each matrix's terms in ascending order, so
-each point's (dx, dy) is bit for bit what reducing it alone gives. H(Y) is
+A frontier's encoders are nested coarsenings that share most of their
+clusters, so each replicate is pushed through a table of their distinct
+clusters, each cluster once, and the xlog2x terms of its cells and its
+mass are taken once. Each encoder's objectives are mapper._reduce_terms of
+its clusters' terms, the reduction behind mapper._objectives and the
+oracle's exact stage. It sums each matrix's terms in ascending order, and
+a table cell is the cell the encoder's own push gives, so each point's
+(dx, dy) is bit for bit what pushing and reducing it alone gives. H(Y) is
 taken once per replicate, its terms also summed in ascending order. A
 constant encoder's one cluster holds the replicate's Y marginal bit for
 bit, so its H(Z, Y) and H(Y) cancel exactly; but the cluster's mass, the
@@ -39,11 +44,12 @@ from ._util import as_integer, check_seed, derive_seed
 from .distributions import EmpiricalCounts, normalize_counts, xlog2x
 from .encoders import Encoder
 from .errors import DimensionMismatchError
-from .mapper import SearchConfig, SearchStats, _objectives, _push, pareto_mapper
+from .mapper import SearchConfig, SearchStats, _ascending_sum, _reduce_terms, pareto_mapper
 from .pareto import ParetoPoint, ParetoSet
 
 _SPREAD_CELLS = 1 << 20
-"""Pushed cells per _objectives call of the bootstrap; bounds its working arrays."""
+"""Cells per slice of the bootstrap's cluster table and per batch of terms
+it gathers from it; bounds its working arrays."""
 
 
 def _check_z(z) -> None:
@@ -88,11 +94,23 @@ def bootstrap_uncertainty(
     empirical PMF once, pushes each through every encoder, and returns the
     sample standard deviations of the two objectives across replicates.
 
-    The replicates lie side by side in one (nx, reps * ny) matrix. The
-    encoders of one cluster count m are pushed against it together, in
-    slices of at most _SPREAD_CELLS pushed cells, and each slice's
-    (k, m, reps * ny) push is reduced as its (k, reps, m, ny) view against
-    each replicate's H(Y).
+    The encoders' clusters are pushed once per replicate, each distinct
+    cluster once however many encoders hold it: a frontier's encoders are
+    nested coarsenings that share most of their clusters. A cluster is
+    keyed by its membership row, and its cells in the table add its rows
+    to 0.0 in ascending position, as push_forward's np.add.at does, so
+    they are the cells of every encoder's own push bit for bit. Their
+    xlog2x terms and those of their masses are taken once, and each
+    encoder's (x, y) per replicate is mapper._reduce_terms of its
+    clusters' terms, gathered into one contiguous row: the sorted sums
+    give the floats of reducing that encoder alone.
+
+    The table holds at most _SPREAD_CELLS cells (or one replicate's), so
+    it is built for a slice of replicates at a time, and the encoders of
+    one cluster count gather their terms in batches of at most
+    _SPREAD_CELLS cells. The values of all replicates are collected
+    before the spreads are taken, over each encoder's contiguous row of
+    replicates.
     """
     as_integer("reps", reps, 2)
     check_seed(seed)
@@ -101,21 +119,46 @@ def bootstrap_uncertainty(
             raise DimensionMismatchError(
                 f"encoder domain {f.n} != count matrix row count {counts.nx}"
             )
+    if not encoders:
+        return []
     arr = _replicates(counts, reps, seed)
     ny = counts.ny
-    wide = arr.transpose(1, 0, 2).reshape(counts.nx, reps * ny)
-    hy = -np.sort(xlog2x(arr.sum(axis=1)), axis=1).sum(axis=1)
-    out = np.empty((len(encoders), 2))
-    for m in dict.fromkeys(f.m for f in encoders):
-        members = [i for i, f in enumerate(encoders) if f.m == m]
-        step = max(1, _SPREAD_CELLS // (reps * m * ny))
-        for lo in range(0, len(members), step):
-            idx = members[lo : lo + step]
-            labels = np.array([encoders[i].assignment for i in idx])
-            pushed = _push(labels, wide, m).reshape(len(idx), m, reps, ny)
-            xs, ys = _objectives(pushed.transpose(0, 2, 1, 3), hy)
-            out[idx] = np.std((xs, ys), axis=2, ddof=1).T
-    return list(map(tuple, out.tolist()))
+    hy = -_ascending_sum(xlog2x(arr.sum(axis=1)))
+    ms = np.array([f.m for f in encoders])
+    first = np.cumsum(ms) - ms  # each encoder's first cluster instance
+    member = np.zeros((ms.sum(), counts.nx), dtype=bool)
+    member[first[:, None] + [f.assignment for f in encoders], np.arange(counts.nx)] = True
+    _, uniq, slot = np.unique(
+        np.packbits(member, axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    holders = [np.flatnonzero(col) for col in member[uniq].T]  # table rows per symbol
+    vals = np.empty((2, len(encoders), reps))
+    rstep = max(1, _SPREAD_CELLS // (len(uniq) * ny))
+    for r0 in range(0, reps, rstep):
+        part = arr[r0 : r0 + rstep]
+        r1 = r0 + len(part)
+        # built cluster-major, so each add moves whole (replicate, y) blocks,
+        # then laid out replicate-major for the gathers
+        cells = np.zeros((len(uniq), len(part), ny))
+        for i, h in enumerate(holders):
+            cells[h] += part[:, i]
+        cells = np.ascontiguousarray(cells.transpose(1, 0, 2))
+        masses = xlog2x(cells.sum(axis=-1))
+        terms = xlog2x(cells)
+        del cells  # the gathers below hold only the terms' table
+        for m in dict.fromkeys(ms.tolist()):
+            members = np.flatnonzero(ms == m)
+            step = max(1, _SPREAD_CELLS // (len(part) * m * ny))
+            for lo in range(0, len(members), step):
+                idx = members[lo : lo + step]
+                cl = slot[first[idx, None] + np.arange(m)]
+                xs, ys = _reduce_terms(
+                    np.take(terms, cl, axis=1).reshape(len(part), len(idx), m * ny),
+                    np.take(masses, cl, axis=1),
+                    hy[r0:r1, None],
+                )
+                vals[:, idx, r0:r1] = xs.T, ys.T
+    return list(map(tuple, np.std(vals, axis=2, ddof=1).T.tolist()))
 
 
 def _distinguishable(p: ParetoPoint, q: ParetoPoint, z: float) -> bool:

@@ -32,9 +32,9 @@ from dibmap.mapper import (
     _key_weights,
     _merge_table,
     _objectives,
-    _push,
 )
 from dibmap.symmetric import _TripleEvaluator
+from push_reference import push
 
 DIAG2 = JointPMF(np.diag([0.5, 0.5]))
 
@@ -377,9 +377,9 @@ class TestRowPermutation:
 
 
 class TestPush:
-    """_push, the bootstrap's push-forward of K label strings against one
-    matrix and the reference the oracle's subset-table cells are checked
-    against, against push_forward, exactly."""
+    """push, the reference push-forward of K label strings against one
+    matrix that the batched kernels are checked against, against
+    push_forward, exactly."""
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 5))
     @settings(max_examples=40, deadline=None)
@@ -392,7 +392,7 @@ class TestPush:
         joint = JointPMF(p / p.sum())
         encs = [canonicalize(rng.integers(0, n, size=n)) for _ in range(6)]
         block = np.array([f.assignment for f in encs], dtype=np.uint8)
-        pushed = _push(block, joint.p, n)
+        pushed = push(block, joint.p, n)
         for f, z in zip(encs, pushed):
             assert np.array_equal(z[: f.m], push_forward(joint, f).p)
             assert not z[f.m :].any()
@@ -407,7 +407,7 @@ class TestPush:
         f = canonicalize(rng.integers(0, n, size=n))
         wide = joints.transpose(1, 0, 2).reshape(n, 7 * ny)
         labels = np.array([f.assignment], dtype=np.uint8)
-        pushed = _push(labels, wide, f.m).reshape(f.m, 7, ny).transpose(1, 0, 2)
+        pushed = push(labels, wide, f.m).reshape(f.m, 7, ny).transpose(1, 0, 2)
         for p, z in zip(joints, pushed):
             assert np.array_equal(z, push_forward(JointPMF(p), f).p)
 
@@ -434,7 +434,7 @@ class TestPush:
         wide = np.stack([j.p for j in joints], axis=1).reshape(n, reps * ny)
         encs = [canonicalize(rng.integers(0, n, size=n)) for _ in range(4)]
         block = np.array([f.assignment for f in encs], dtype=np.uint8)
-        pushed = _push(block, wide, n).reshape(len(encs), n, reps, ny).transpose(0, 2, 1, 3)
+        pushed = push(block, wide, n).reshape(len(encs), n, reps, ny).transpose(0, 2, 1, 3)
         for f, zs in zip(encs, pushed):
             for joint, z in zip(joints, zs):
                 assert np.array_equal(z[: f.m], push_forward(joint, f).p)
@@ -443,8 +443,8 @@ class TestPush:
 
 class TestMergeObjectives:
     """The batched kernels, the search's merge_objectives and
-    _objectives(_push(...)), the reduction the oracle's exact stage and the
-    bootstrap run, against the from-scratch evaluation and the closed form
+    _objectives(push(...)), whose terms reduction the oracle's exact stage
+    and the bootstrap run, against the from-scratch evaluation and the closed form
     push_forward + mutual_information."""
 
     @given(
@@ -484,7 +484,7 @@ class TestMergeObjectives:
         ms = block.max(axis=1)
         for m in set(ms.tolist()):
             rows = block[ms == m]
-            bx, by = _objectives(_push(rows, joint.p, m + 1), ev.hy)
+            bx, by = _objectives(push(rows, joint.p, m + 1), ev.hy)
             exact.update(zip(map(bytes, rows), zip(bx.tolist(), by.tolist())))
         for k, key in enumerate(keys):
             x, y = one_row(ev, np.frombuffer(key, dtype=np.uint8))
@@ -674,7 +674,7 @@ class TestKernelInvariance:
         m = int(rng.integers(1, n + 1))
         block = labels_with_m_clusters(rng, n, m, count)
         block = np.concatenate((block, block[:1]))  # one row twice
-        xs, ys = _objectives(_push(block, ev.rows, m), ev.hy)
+        xs, ys = _objectives(push(block, ev.rows, m), ev.hy)
         bx, by = ev.objectives(block)
         assert same_bits((bx, by), ev.objectives(block.astype(np.int64)))
         for row, *xy in zip(block, xs.tolist(), ys.tolist(), bx.tolist(), by.tolist()):

@@ -22,7 +22,7 @@ from dibmap import (
 )
 from dibmap.distributions import xlog2x
 from dibmap.encoders import canonicalize
-from dibmap.mapper import _JointEvaluator, _objectives, _push
+from dibmap.mapper import _JointEvaluator, _objectives, _reduce_terms
 from dibmap.oracle import (
     BLOCK_ROWS,
     SCORE_BLOCK,
@@ -34,6 +34,7 @@ from dibmap.oracle import (
     _subset_tables,
     _tail,
 )
+from push_reference import push
 
 
 class TestEnumeration:
@@ -135,14 +136,14 @@ def offer_every_partition(joint):
 
 def exact_objectives(block, p, hy):
     """The exact objectives of every label row of a block, as the search
-    scores them: one _objectives(_push(...)) batch per cluster count. The
-    oracle gathers its cells from subset tables instead; these are the
+    scores them: one _objectives(push(...)) batch per cluster count. The
+    oracle gathers its terms from subset tables instead; these are the
     values its screen and its exact stage are checked against."""
     xs, ys = np.empty(len(block)), np.empty(len(block))
     ms = block.max(axis=1)
     for m in set(ms.tolist()):
         at = ms == m
-        xs[at], ys[at] = _objectives(_push(block[at], p, m + 1), hy)
+        xs[at], ys[at] = _objectives(push(block[at], p, m + 1), hy)
     return xs, ys
 
 
@@ -256,12 +257,12 @@ class TestMergePrefilter:
                 scored.append((k, None, 0))
                 yield group
 
-        def objectives(pushed, hy):
-            scored.append((scored[-1][0], pushed.shape[1], len(pushed)))
-            return _objectives(pushed, hy)
+        def reduce_terms(cells, masses, hy):
+            scored.append((scored[-1][0], masses.shape[1], len(masses)))
+            return _reduce_terms(cells, masses, hy)
 
         monkeypatch.setattr(dm.oracle, "_rgs_groups", numbered_groups)
-        monkeypatch.setattr(dm.oracle, "_objectives", objectives)
+        monkeypatch.setattr(dm.oracle, "_reduce_terms", reduce_terms)
         got = [(p.x, p.y, p.encoder) for p in brute_force_frontier(joint)]
         assert got == offer_every_partition(joint)
         assert len(got) < bell_number(n)
@@ -271,6 +272,32 @@ class TestMergePrefilter:
         assert len({(k, m) for k, m, _ in batches}) == len(batches)
         # the screen drops some block whole: its exact stage gets no rows
         assert {k for k, _, _ in batches} < set(range(len(groups)))
+
+    @pytest.mark.parametrize("seed", [2204, 2205])
+    def test_first_block_is_screened_against_its_own_maxima(self, monkeypatch, seed):
+        # the first block meets an empty frontier; its rows that another
+        # row beats by 3 delta in both screening values are dropped, so
+        # few reach the exact stage, and the frontier does not change
+        joint = sample_simplex(8, 5, seed)
+        events = []  # ("block", rows) per screened block, ("exact", rows) per batch
+
+        def screen(*args):
+            out = _screen(*args)
+            events.append(("block", len(out[0])))
+            return out
+
+        def reduce_terms(cells, masses, hy):
+            events.append(("exact", len(masses)))
+            return _reduce_terms(cells, masses, hy)
+
+        monkeypatch.setattr(dm.oracle, "_screen", screen)
+        monkeypatch.setattr(dm.oracle, "_reduce_terms", reduce_terms)
+        got = [(p.x, p.y, p.encoder) for p in brute_force_frontier(joint)]
+        assert got == offer_every_partition(joint)
+        second = [kind for kind, _ in events].index("block", 1)
+        assert events[0][0] == "block"
+        exact = sum(rows for _, rows in events[1:second])
+        assert 0 < exact < events[0][1] // 10
 
     @pytest.mark.parametrize(
         "make_joint",
@@ -305,8 +332,8 @@ class TestPrefixKernel:
     def check_groups(n, p):
         hy = float(-xlog2x(p.sum(axis=0)).sum())
         delta = _screen_slack(n, p.shape[1])
-        cells, rows, masses = _subset_tables(p)
-        assert cells.shape == (2**n, p.shape[1]) and rows.shape == masses.shape == (2**n,)
+        terms, rows, masses = _subset_tables(p)
+        assert terms.shape == (2**n, p.shape[1]) and rows.shape == masses.shape == (2**n,)
         head = _tail(n).start
         assert head == max(1, n - 2) and _tail(n).stop == n
         for pre, counts in _rgs_groups(n):
@@ -326,10 +353,13 @@ class TestPrefixKernel:
             x, y = exact_objectives(block, p, hy)
             assert sx.shape == sy.shape == (len(block),)
             assert np.all(np.abs(sx - x) <= delta) and np.all(np.abs(sy - y) <= delta)
-            # the subset cells of a row's masks are its push, bit for bit;
-            # empty clusters gather the empty subset's zero cell, as _push pads
+            # the subset terms of a row's masks are those of its push, bit
+            # for bit; empty clusters gather the empty subset's zero terms,
+            # as the push pads
             assert masks.dtype == np.uint16
-            assert cells[masks].tobytes() == _push(block, p, n).tobytes()
+            pushed = push(block, p, n)
+            assert terms[masks].tobytes() == xlog2x(pushed).tobytes()
+            assert masses[masks].tobytes() == xlog2x(pushed.sum(axis=-1)).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -6,6 +6,8 @@ from dataclasses import FrozenInstanceError, asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dibmap as dm
 import dibmap.robust
@@ -26,7 +28,8 @@ from dibmap import (
 )
 from dibmap._util import derive_seed
 from dibmap.distributions import xlog2x
-from dibmap.mapper import _objectives
+from dibmap.encoders import canonicalize
+from dibmap.mapper import _objectives, _reduce_terms
 
 
 def point(x, y, dx, dy):
@@ -44,6 +47,23 @@ def spread_one(arr, f):
     hy = [-np.sort(xlog2x(py)).sum() for py in arr.sum(axis=1)]
     xs, ys = _objectives(pushed, np.array(hy))
     return float(np.std(xs, ddof=1)), float(np.std(ys, ddof=1))
+
+
+def nested_encoders(rng, n):
+    """Encoders of n symbols that share clusters, as a frontier's do: two
+    merge chains, each from a random clustering down to the constant
+    encoder, with one encoder repeated."""
+    encoders = []
+    for _ in range(2):
+        f = canonicalize(rng.integers(0, n, size=n))
+        while True:
+            encoders.append(f)
+            if f.m == 1:
+                break
+            i, j = sorted(rng.choice(f.m, size=2, replace=False).tolist())
+            f = canonicalize([i if a == j else a for a in f.assignment])
+    encoders.append(encoders[int(rng.integers(len(encoders)))])
+    return encoders
 
 
 def spread(counts, f, reps, seed):
@@ -345,15 +365,21 @@ class TestBootstrapPool:
 
     @pytest.mark.parametrize("cells", [48, dibmap.robust._SPREAD_CELLS], ids=["sliced", "default"])
     def test_batched_spreads_match_per_point_reduction(self, monkeypatch, cells):
+        batches = []  # (replicates, encoders, cluster count) per reduction
+
+        def reduce_terms(cell_terms, mass_terms, hy):
+            batches.append(mass_terms.shape)
+            return _reduce_terms(cell_terms, mass_terms, hy)
+
         monkeypatch.setattr(dibmap.robust, "_SPREAD_CELLS", cells)
+        monkeypatch.setattr(dibmap.robust, "_reduce_terms", reduce_terms)
         counts = multinomial_sample(sample_simplex(9, 4, 5), 300, 2)
         cfg = RobustConfig(0.0, seed=3, bootstrap_reps=2)
         _, full, _ = robust_pareto_mapper(counts, cfg)
         ms = [p.encoder.m for p in full]
-        per_slice = {m: max(1, cells // (cfg.bootstrap_reps * m * counts.ny)) for m in ms}
-        assert len(per_slice) > 3
+        assert len(set(ms)) > 3
         # a group cut into several slices of more than one encoder
-        assert cells != 48 or any(1 < k < ms.count(m) for m, k in per_slice.items())
+        assert cells != 48 or any(1 < k < ms.count(m) for _, k, m in batches)
         arr = dibmap.robust._replicates(counts, cfg.bootstrap_reps, derive_seed(cfg.seed, 0))
         assert [(p.dx, p.dy) for p in full] == [spread_one(arr, p.encoder) for p in full]
 
@@ -363,6 +389,72 @@ class TestBootstrapPool:
         f = Encoder(assignment)
         arr = dibmap.robust._replicates(counts, 30, 11)
         assert spread(counts, f, 30, 11) == spread_one(arr, f)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), ny=st.integers(1, 5),
+        reps=st.integers(2, 6), zero_row=st.booleans(), zero_col=st.booleans(),
+        cells=st.sampled_from([1, 64, dibmap.robust._SPREAD_CELLS]),
+    )
+    @settings(max_examples=60, deadline=None)
+    # more than 64 symbols: a membership key spans several words
+    @example(seed=3, n=70, ny=3, reps=4, zero_row=True, zero_col=True, cells=1)
+    def test_cluster_table_matches_per_encoder_reduction(
+        self, seed, n, ny, reps, zero_row, zero_col, cells
+    ):
+        rng = np.random.default_rng(seed)
+        n_counts = rng.integers(0, 6, size=(n, ny))
+        if zero_row:
+            n_counts[rng.integers(n)] = 0
+        if zero_col:
+            n_counts[:, rng.integers(ny)] = 0
+        n_counts[rng.integers(n), rng.integers(ny)] += 1  # at least one sample
+        counts = EmpiricalCounts(n_counts)
+        encoders = nested_encoders(rng, n)
+        batches = []  # (replicates, encoders, cluster count) per reduction
+
+        def reduce_terms(cell_terms, mass_terms, hy):
+            batches.append(mass_terms.shape)
+            return _reduce_terms(cell_terms, mass_terms, hy)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dibmap.robust, "_SPREAD_CELLS", cells)
+            mp.setattr(dibmap.robust, "_reduce_terms", reduce_terms)
+            got = bootstrap_uncertainty(counts, encoders, reps, seed)
+            assert bootstrap_uncertainty(counts, [], reps, seed) == []
+        arr = dibmap.robust._replicates(counts, reps, seed)
+        assert got == [spread_one(arr, f) for f in encoders]
+        # every (replicate, encoder) pair is reduced exactly once
+        assert sum(r * k for r, k, _ in batches) == reps * len(encoders)
+        if cells == 1:  # one replicate and one encoder per batch
+            assert set(batches) == {(1, 1, f.m) for f in encoders}
+
+    def test_xlog2x_runs_once_per_distinct_cluster(self, monkeypatch):
+        """A work guard, with no timing: per replicate, the bootstrap takes
+        xlog2x of the ny cells and the mass of each distinct cluster,
+        however many encoders hold it, and of the replicate's ny Y-marginal
+        cells. A push per encoder would take it of every cluster instance."""
+        counts = multinomial_sample(sample_simplex(10, 5, 2), 1000, 3)
+        cfg = RobustConfig(0.0, seed=7, bootstrap_reps=20)
+        _, full, _ = robust_pareto_mapper(counts, cfg)
+        encoders = [p.encoder for p in full]
+        elements = []
+
+        def counted(a):
+            elements.append(np.size(a))
+            return xlog2x(a)
+
+        monkeypatch.setattr(dibmap.robust, "xlog2x", counted)
+        bootstrap_uncertainty(counts, encoders, cfg.bootstrap_reps, 0)
+        reps, ny = cfg.bootstrap_reps, counts.ny
+        distinct = len({
+            frozenset(np.flatnonzero(np.asarray(f.assignment) == c).tolist())
+            for f in encoders
+            for c in range(f.m)
+        })
+        instances = sum(f.m for f in encoders)
+        assert sum(elements) == reps * (distinct * (ny + 1) + ny)
+        assert 2 * distinct < instances
+        assert sum(elements) < reps * (instances * (ny + 1) + ny)
 
     def test_import_loads_no_executor(self):
         # concurrent.futures pulls in logging, and both would add to every
