@@ -25,29 +25,39 @@ The batched values depend on the merge path in their last bits, so a child
 that can land within INFO_TOL of the frontier is offered on its objectives
 from scratch, a path-independent value: one partition, or two with equal
 multisets of cells, never becomes several frontier points. The children of
-an offer block that its frontier snapshot (below) leaves within reach of
-that distance, its near children, are scored from scratch together, in one
-call of the evaluator's objectives, before any of them is offered, and
-that value replaces their merge-path one. Every other child keeps its
-merge-path value and lies more than INFO_TOL inside the dominated region,
-so it cannot enter and is not offered to the frontier's add. Each child is
-decided on one (x, y): a near child is offered to add once, and at 0 <
-epsilon < inf a child that does not enter asks its distance once, for its
-keep draw. A child's labels are built, through the level's merge table,
-only where they are read: for the near children, and as a row of the next
-level when it is kept. A child that enters the frontier enters as a bare
-ParetoPoint, its labels kept as bytes in a table keyed by its (x, y); only
-the points that survive the search get an Encoder, when it ends.
+a level that its screen (below) leaves within reach of that distance, its
+near children, are scored from scratch together, in one call of the
+evaluator's objectives per level, before any of them is offered, and that
+value replaces their merge-path one. Every other child keeps its merge-path
+value and lies more than INFO_TOL inside the dominated region, so it cannot
+enter and is not offered to the frontier's add. Each child is decided on
+one (x, y): a near child is offered to add once, and at 0 < epsilon < inf
+a child that does not enter asks its distance once, for its keep draw. A
+child's labels are built, through the level's merge table, only where they
+are read: for the near children, and as a row of the next level when it is
+kept. A child that enters the frontier enters as a bare ParetoPoint, its
+labels kept as bytes in a table keyed by its (x, y); only the points that
+survive the search get an Encoder, when it ends.
 
-Most children are far inside the dominated region, so each block of
-OFFER_BLOCK children is first tested against a snapshot of the frontier in
-one batched query. A child is skipped when its corner (x + r, y + r) is
-dominated; its reach r (see _reach) makes such a child provably one that
-is not near, whose offer would not admit it, and fixes its keep decision:
-dropped below an infinite epsilon, kept at it. The dominated region only
-grows during a search, so a corner dominated by the snapshot is dominated
-at offer time too, and skipping these children leaves the frontier, the
-counters and the random draws exactly as offering them would.
+Most children are far inside the dominated region, so the screen (_screen)
+tests each block of OFFER_BLOCK children in one batched query against a
+staircase held as two arrays: the maximal points of the frontier at level
+start and of the merge-path (x, y) of the near children of the earlier
+blocks. A child is skipped when its corner (x + r, y + r) is dominated; its
+reach r (see _reach) makes such a child provably one that is not near,
+whose offer would not admit it, and fixes its keep decision: dropped below
+an infinite epsilon, kept at it. The dominated region only grows during a
+search, and every earlier near child has been offered before the block's
+children are, so at their offer the frontier weakly dominates each
+staircase point's from-scratch value, which lies within about 1e-14 of its
+merge-path one. A corner (x + r, y + r) the staircase dominates is then
+dominated at offer time with r less about 1e-14, which the reach's margins
+absorb (see _reach), and skipping these children leaves the frontier, the
+counters and the random draws exactly as offering them would. At 0 <
+epsilon < inf the screen may call a child near or live where a snapshot of
+the frontier would not, or the other way round, so it may ask distance on
+the child's other value; a keep decision can then differ only if its draw
+lies within about 1e-15 of exp(-d / epsilon).
 """
 
 from __future__ import annotations
@@ -61,14 +71,15 @@ import numpy as np
 from ._util import check_seed
 from .distributions import INFO_TOL, JointPMF, xlog2x
 from .encoders import Encoder
-from .pareto import ParetoPoint, ParetoSet
+from .pareto import ParetoPoint, ParetoSet, staircase, weakly_dominated
 
 CHUNK_CHILDREN = 1 << 16
 """Merge children per merge_objectives call, and rows times joint cells
 per slice of an objectives call; bounds the kernels' working arrays."""
 
 OFFER_BLOCK = 256
-"""Children tested against one frontier snapshot before they are offered."""
+"""Children tested against one staircase by the screen; the next block's
+staircase adds this block's near children."""
 
 MAX_SEARCH_N = 255
 """Most input symbols a search takes: its labels are uint8."""
@@ -144,6 +155,13 @@ def _reach(draws: np.ndarray, epsilon: float) -> np.ndarray:
     1e-12 below the draw, while computing it errs by a few ulps (draws are
     at least 2^-53, so -ln(draw) <= 37). A zero draw gives r = inf and is
     never filtered.
+
+    The screen tests the corner against a staircase whose points lie up to
+    about 1e-14 above points the frontier dominates (merge-path values of
+    offered near children), so the frontier dominates the corner at r less
+    about 1e-14. The 2 * INFO_TOL term absorbs that: such a child is still
+    at least INFO_TOL inside the dominated region, and still d / epsilon >=
+    -ln(draw) + 1e-12.
     """
     if epsilon == 0.0 or math.isinf(epsilon):
         return np.full(len(draws), 2 * INFO_TOL)
@@ -344,6 +362,34 @@ class _JointEvaluator:
         return -hz, np.maximum(hz + self.hy - hzy, 0.0)
 
 
+def _screen(frontier: ParetoSet, xs: np.ndarray, ys: np.ndarray, reach: np.ndarray):
+    """The live children of a level, ascending, and which of them are near:
+    a child is live when its corner at its reach is left undominated, and
+    near when its corner at 2 * INFO_TOL is (see _reach).
+
+    Each OFFER_BLOCK of children is tested against one staircase, held as
+    two arrays: the maximal points of the frontier at level start and of
+    the merge-path (x, y) of the near children of the earlier blocks.
+    """
+    sx, sy = frontier.objectives().T
+    live, is_near = [], []
+    corners = np.stack((reach, np.full(len(reach), 2 * INFO_TOL)))
+    for lo in range(0, len(xs), OFFER_BLOCK):
+        hi = lo + OFFER_BLOCK
+        r = corners[:, lo:hi]
+        free = ~weakly_dominated(sx, sy, xs[lo:hi] + r, ys[lo:hi] + r)
+        at = np.flatnonzero(free[0])  # the live children, counted from lo
+        near = free[1, at]
+        live.append(lo + at)
+        is_near.append(near)
+        if near.any():
+            k = lo + at[near]
+            cx, cy = np.concatenate((sx, xs[k])), np.concatenate((sy, ys[k]))
+            top = staircase(cx, cy)
+            sx, sy = cx[top], cy[top]
+    return np.concatenate(live), np.concatenate(is_near)
+
+
 def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
     """The level-synchronous search loop shared by the plain and symmetric mappers."""
     n = evaluator.n
@@ -364,59 +410,52 @@ def _run_search(evaluator, cfg: SearchConfig) -> tuple[ParetoSet, SearchStats]:
     searched = 1
     enqueued = 1
 
-    dominated = frontier.dominated
     distance = frontier.distance
     add = frontier.add
 
     m = n  # cluster count of every parent in the level
     while len(level) and m > 1:
         i_idx, j_idx = np.triu_indices(m, k=1)
-        merge = _merge_table(i_idx, j_idx, m)
-        new = _first_children(level)
-        draws = rng.random(len(level) * len(i_idx))[new]  # one draw per child, in pair order
-        parent, pair = np.divmod(new, len(i_idx))
-        # the kernel sees parent-aligned slices of about CHUNK_CHILDREN children
-        step = max(1, CHUNK_CHILDREN // len(i_idx))
-        starts = range(0, len(level), step)
-        cuts = np.searchsorted(parent, [*starts, len(level)])
-        xs, ys = map(np.concatenate, zip(*(
-            evaluator.merge_objectives(
-                level[s : s + step], parent[a:b] - s, i_idx[pair[a:b]], j_idx[pair[a:b]]
-            )
-            for s, a, b in zip(starts, cuts[:-1], cuts[1:])
-        )))
-        # a child is offered when the snapshot leaves its corner at its
-        # reach undominated (live), and can land within INFO_TOL only when
-        # the snapshot leaves its corner at 2 * INFO_TOL undominated (near,
-        # a subset of live, and all of it at epsilon 0 or inf; see _reach)
-        reach = np.stack((_reach(draws, epsilon), np.full(len(new), 2 * INFO_TOL)))
-        searched += len(new)
-        # the verdict at epsilon 0 or inf on a child that does not enter,
-        # and on any child the snapshot test drops (see _reach)
-        keep = np.full(len(new), math.isinf(epsilon))
-        for lo in range(0, len(new), OFFER_BLOCK):
-            hi = lo + OFFER_BLOCK
-            r = reach[:, lo:hi]
-            # the frontier only grows, so this snapshot's verdicts hold for
-            # the whole block
-            free = ~dominated(xs[lo:hi] + r, ys[lo:hi] + r)
-            at = np.flatnonzero(free[0])  # the live children, counted from lo
-            is_near = free[1, at]
-            live, near = lo + at, lo + at[is_near]
+        try:
+            merge = _merge_table(i_idx, j_idx, m)
+            new = _first_children(level)
+            draws = rng.random(len(level) * len(i_idx))[new]  # one draw per child, in pair order
+            parent, pair = np.divmod(new, len(i_idx))
+            # the kernel sees parent-aligned slices of about CHUNK_CHILDREN children
+            step = max(1, CHUNK_CHILDREN // len(i_idx))
+            starts = range(0, len(level), step)
+            cuts = np.searchsorted(parent, [*starts, len(level)])
+            xs, ys = map(np.concatenate, zip(*(
+                evaluator.merge_objectives(
+                    level[s : s + step], parent[a:b] - s, i_idx[pair[a:b]], j_idx[pair[a:b]]
+                )
+                for s, a, b in zip(starts, cuts[:-1], cuts[1:])
+            )))
+            live, is_near = _screen(frontier, xs, ys, _reach(draws, epsilon))
+            near = live[is_near]
             if len(near):  # a tie may hinge on the path-dependent last bits
                 rows = merge[pair[near, None], level[parent[near]]]
                 xs[near], ys[near] = objectives(rows)
-            for k, x, y, draw, can_enter in zip(
-                live.tolist(), xs[live].tolist(), ys[live].tolist(), draws[live].tolist(),
-                is_near.tolist(),
-            ):
-                if can_enter and add(ParetoPoint(x, y)):  # only a near child can enter
-                    labels[x, y] = rows[np.searchsorted(near, k)].tobytes()
-                    if len(labels) > 2 * len(frontier):  # drop the evicted points' labels
-                        labels = {(pt.x, pt.y): labels[pt.x, pt.y] for pt in frontier}
-                    keep[k] = True
-                elif 0.0 < epsilon < math.inf:
-                    keep[k] = draw < enqueue_probability(distance(x, y), epsilon)
+        except MemoryError as exc:
+            raise MemoryError(
+                f"search level m = {m} ({len(level)} parents x {len(i_idx)} pairs = "
+                f"{len(level) * len(i_idx)} children) ran out of memory: {exc}"
+            ) from exc
+        searched += len(new)
+        # the verdict at epsilon 0 or inf on a child that does not enter,
+        # and on any child the screen drops (see _reach)
+        keep = np.full(len(new), math.isinf(epsilon))
+        for k, x, y, draw, can_enter, row in zip(
+            live.tolist(), xs[live].tolist(), ys[live].tolist(), draws[live].tolist(),
+            is_near.tolist(), (np.cumsum(is_near) - 1).tolist(),
+        ):
+            if can_enter and add(ParetoPoint(x, y)):  # only a near child can enter
+                labels[x, y] = rows[row].tobytes()
+                if len(labels) > 2 * len(frontier):  # drop the evicted points' labels
+                    labels = {(pt.x, pt.y): labels[pt.x, pt.y] for pt in frontier}
+                keep[k] = True
+            elif 0.0 < epsilon < math.inf:
+                keep[k] = draw < enqueue_probability(distance(x, y), epsilon)
         level = merge[pair[keep, None], level[parent[keep]]]
         enqueued += len(level)
         m -= 1

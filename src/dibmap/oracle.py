@@ -28,7 +28,7 @@ per cluster count m, mapper._reduce_terms of their clusters' table
 terms. A cluster's table cell adds its rows to 0.0 in ascending
 position, as push_forward's np.add.at does, so every partition gets the
 floats the evaluators' objectives give it, exact ties included. They are
-merged with the frontier so far, held as arrays, by one pareto_mask,
+merged with the frontier so far, held as arrays, by one staircase,
 which also drops the rows that frontier weakly dominates, and carries
 the survivors' masks. The final frontier's label rows are checked
 canonical as one array.
@@ -46,7 +46,7 @@ from .distributions import JointPMF, xlog2x
 from .encoders import Encoder
 from .errors import CapacityError
 from .mapper import _reduce_terms
-from .pareto import ParetoPoint, ParetoSet, pareto_mask, weakly_dominated
+from .pareto import ParetoPoint, ParetoSet, staircase, weakly_dominated
 
 MAX_EXHAUSTIVE_N = 13
 BLOCK_ROWS = 8192
@@ -225,7 +225,7 @@ def brute_force_frontier(joint: JointPMF) -> ParetoSet:
     when a row q of the block reaches its corner at 3 delta: sx_q >=
     sx_r + 3 delta and sy_q >= sy_r + 3 delta, as rounded. Those rows
     are the ones whose corner the block's maximal screening values
-    (pareto_mask) weakly dominate. |sx_r| and |sy_r| stay below log2(n
+    (staircase) weakly dominate. |sx_r| and |sy_r| stay below log2(n
     ny) + 1 - 3 delta, so the rounded corner errs from the exact one by
     at most 2 u (log2(n ny) + 1), u = 2^-53, while delta >= 150 u
     (log2(n ny) + 1) (gamma_N >= 5 u in _screen_slack). So sx_q > sx_r +
@@ -235,7 +235,7 @@ def brute_force_frontier(joint: JointPMF) -> ParetoSet:
     corner of their own, so the block keeps at least one row.
 
     Each block's rows follow the frontier's, which come earlier in lex
-    order, and pareto_mask keeps the first of exact duplicates, so the
+    order, and staircase keeps the first of exact duplicates, so the
     merge drops every row the frontier so far weakly dominates, and the
     points and their representatives are those of offering every
     partition to a ParetoSet in lex order. The frontier so far holds no
@@ -255,8 +255,7 @@ def brute_force_frontier(joint: JointPMF) -> ParetoSet:
         if len(xs):
             keep = ~weakly_dominated(xs, ys, sx + delta, sy + delta)
         else:  # the first block, against its own maximal screening values
-            best = np.flatnonzero(pareto_mask(np.column_stack((sx, sy))))
-            best = best[np.argsort(sx[best])]
+            best = staircase(sx, sy)
             keep = ~weakly_dominated(sx[best], sy[best], sx + 3 * delta, sy + 3 * delta)
         masks, counts = masks[keep], counts[keep]
         bx, by = np.empty(len(masks)), np.empty(len(masks))
@@ -266,9 +265,7 @@ def brute_force_frontier(joint: JointPMF) -> ParetoSet:
             bx[at], by[at] = _reduce_terms(terms[cl].reshape(len(cl), -1), masses[cl], hy)
         xs, ys = np.concatenate((xs, bx)), np.concatenate((ys, by))
         front = np.concatenate((front, masks))
-        keep = np.flatnonzero(pareto_mask(np.column_stack((xs, ys))))
-        # ascending x, so the next pareto_mask sorts mostly sorted rows
-        keep = keep[np.argsort(xs[keep], kind="stable")]
+        keep = staircase(xs, ys)
         xs, ys, front = xs[keep], ys[keep], front[keep]
     points = zip(xs.tolist(), ys.tolist(), _encoders(_labels(front)))
     return ParetoSet(ParetoPoint(x, y, encoder=e) for x, y, e in points)

@@ -8,9 +8,10 @@ insertion evicts a contiguous run of newly dominated points.
 
 Dominance is weak with strict rejection of exact duplicates: a point equal
 to a stored point in both coordinates is not optimal, so one representative
-per objective pair is kept (first arrival wins). pareto_mask filters a
-whole batch of points by the same rule, and weakly_dominated answers
-is_optimal for a batch of probes, for ParetoSet.dominated and the oracle.
+per objective pair is kept (first arrival wins). staircase finds the
+maximal points of a whole batch by the same rule, and weakly_dominated
+answers is_optimal for a batch of probes against such a staircase, for the
+search's offer screen and the oracle.
 """
 
 from __future__ import annotations
@@ -74,15 +75,6 @@ class ParetoSet:
         i = bisect_left(self._xs, x)
         return i == len(self._xs) or self._ys[i] < y
 
-    def dominated(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Boolean mask of the probes that are not optimal: the negation of
-        is_optimal, elementwise, in one binary search over the whole batch.
-
-        It searches the stored coordinate lists, which numpy copies once per
-        call, so every answer reflects the set as it is at that call.
-        """
-        return weakly_dominated(self._xs, self._ys, xs, ys)
-
     def add(self, p: ParetoPoint) -> bool:
         """Insert p if optimal, evicting the points it weakly dominates.
 
@@ -141,19 +133,27 @@ def weakly_dominated(fx, fy, xs, ys) -> np.ndarray:
     return (i < len(fx)) & (np.append(fy, -math.inf)[i] >= ys)
 
 
-def pareto_mask(points) -> np.ndarray:
-    """Boolean mask of maximal points (no other point >= in both coordinates).
+def staircase(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Indices of the maximal points of (xs, ys) (no other point >= in both
+    coordinates), ascending in x, so descending in y strictly.
 
-    Sort-based filter: scan in descending first coordinate and keep strict
-    records of the second. The sort is stable, so of exact duplicates only
-    the first in input order is kept, as ParetoSet's first arrival is.
+    Sort-based filter: scan in descending x and keep strict records of y.
+    The sort is stable, so of exact duplicates only the first in input
+    order is kept, as ParetoSet's first arrival is.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    order = np.lexsort((-pts[:, 1], -pts[:, 0]))
-    v = pts[order, 1]
-    rec = np.empty(len(pts), dtype=bool)
+    order = np.lexsort((-ys, -xs))
+    v = ys[order]
+    rec = np.empty(len(v), dtype=bool)
     rec[:1] = True
     rec[1:] = v[1:] > np.maximum.accumulate(v)[:-1]
-    mask = np.empty(len(pts), dtype=bool)
-    mask[order] = rec
+    return order[rec][::-1]
+
+
+def pareto_mask(points) -> np.ndarray:
+    """Boolean mask of maximal points (no other point >= in both
+    coordinates), by staircase's rule: of exact duplicates only the first
+    in input order is kept."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    mask = np.zeros(len(pts), dtype=bool)
+    mask[staircase(pts[:, 0], pts[:, 1])] = True
     return mask

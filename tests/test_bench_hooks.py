@@ -95,42 +95,54 @@ def test_search_builds_one_encoder_per_frontier_point(spans, kind):
 
 
 @pytest.mark.parametrize("kind", ["plain", "symmetric"])
-def test_search_scores_each_offer_block_in_one_call(spans, kind):
+def test_search_scores_each_level_in_one_call(spans, kind):
     # at eps = 0 every child that enters the frontier is decided on its
-    # objectives from scratch; the search scores an offer block's candidates
-    # in one batch, through _objectives and so through the traced xlog2x,
-    # not one _objectives call per child
+    # objectives from scratch; the search scores a level's near children in
+    # one objectives call, one _objectives batch per slice of CHUNK_CHILDREN
+    # joint cells, through the traced xlog2x, not one call per offer block
     if kind == "plain":
         problem = dibmap.sample_simplex(8, 4, 3)
-        search, module = dibmap.pareto_mapper, dibmap.mapper
+        search, module, evaluator = dibmap.pareto_mapper, dibmap.mapper, dibmap.mapper._JointEvaluator
     else:
         rng = np.random.default_rng(3)
         p = rng.exponential(size=(6, 6, 3))
         problem = dibmap.TripleJointPMF(p / p.sum())
-        search, module = dibmap.symmetric_pareto_mapper, dibmap.symmetric
+        search, module, evaluator = (
+            dibmap.symmetric_pareto_mapper, dibmap.symmetric, dibmap.symmetric._TripleEvaluator
+        )
     tracer = spans.Tracer()
-    scored, live_blocks = [], []
-    objectives = module._objectives
+    calls, scored, levels = [], [], []  # (rows, first batch) per objectives call
+    objectives, batch = evaluator.objectives, module._objectives
+    first_children = dibmap.mapper._first_children
 
-    def counting_objectives(pushed, hy):
+    def counting_objectives(self, labels):
+        calls.append((len(labels), len(scored)))
+        return objectives(self, labels)
+
+    def counting_batch(pushed, hy):
         scored.append(len(pushed))
-        return objectives(pushed, hy)
+        return batch(pushed, hy)
+
+    def counting_first_children(level):
+        levels.append(len(level))
+        return first_children(level)
 
     with spans.install(tracer), pytest.MonkeyPatch.context() as mp:
-
-        class CountingSet(dibmap.mapper.ParetoSet):
-            def dominated(self, xs, ys):
-                out = super().dominated(xs, ys)
-                live_blocks.append(not out.all())  # the search offers some children
-                return out
-
-        mp.setattr(module, "_objectives", counting_objectives)
-        mp.setattr(dibmap.mapper, "ParetoSet", CountingSet)
+        mp.setattr(dibmap.mapper, "CHUNK_CHILDREN", 4 * problem.p.size)  # 4 rows a slice
+        mp.setattr(dibmap.mapper, "OFFER_BLOCK", 4)  # many blocks per level
+        mp.setattr(evaluator, "objectives", counting_objectives)
+        mp.setattr(module, "_objectives", counting_batch)
+        mp.setattr(dibmap.mapper, "_first_children", counting_first_children)
         frontier, stats = search(problem, dibmap.SearchConfig(0.0, 1))
     assert tracer.leaf_total("xlog2x")[0] > 0
-    # the identity, then at most one batch per offer block with live children
-    assert 1 < len(scored) <= 1 + sum(live_blocks)
-    assert sum(scored) <= stats.points_searched  # each child scored at most once
+    rows = [k for k, _ in calls]
+    batches = np.diff([at for _, at in calls] + [len(scored)]).tolist()
+    # the identity, then at most one call per level, one batch per slice
+    assert rows[0] == batches[0] == 1
+    assert 1 < len(calls) <= 1 + len(levels)
+    assert batches == [-(-k // 4) for k in rows]
+    assert max(rows) > 4  # some level is sliced
+    assert sum(scored) == sum(rows) <= stats.points_searched  # each child scored at most once
     assert len(frontier) > 1
 
 

@@ -364,6 +364,27 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
         assert not out.exists()
 
+    def test_search_out_of_memory_names_its_level(self, tmp_path, capsys, monkeypatch, random8):
+        # the level of 7-cluster parents, all S(8, 7) = 28 of them at an
+        # infinite epsilon, cannot be held
+        first_children = dm.mapper._first_children
+
+        def out_of_memory(level):
+            if level.max() == 6:
+                raise MemoryError("Unable to allocate 1.00 TiB")
+            return first_children(level)
+
+        monkeypatch.setattr(dm.mapper, "_first_children", out_of_memory)
+        out = tmp_path / "out.json"
+        rc = main(["map", "--pmf", str(random8), "--epsilon", "inf", "--seed", "1",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: search level m = 7 (28 parents x 21 pairs = 588 children) ran out of "
+            "memory: Unable to allocate 1.00 TiB\n"
+        )
+        assert not out.exists()
+
     def test_too_many_symbols_is_exit_one(self, tmp_path, capsys):
         path = tmp_path / "wide.csv"
         dm.save_matrix_csv(path, np.full((256, 1), 1 / 256))

@@ -35,6 +35,7 @@ from dibmap.mapper import (
 )
 from dibmap.symmetric import _TripleEvaluator
 from push_reference import push
+from search_reference import search as reference_search, search_bytes
 
 DIAG2 = JointPMF(np.diag([0.5, 0.5]))
 
@@ -292,6 +293,47 @@ class TestOfferQueries:
             assert asked and len(set(asked)) == len(asked)
             assert not entered.intersection(asked)
             assert len(asked) + len(entered) <= stats.points_searched
+
+
+@st.composite
+def small_joints(draw):
+    """Joints of at most 8 symbols: rows of small integer weights from a
+    pool of at most three, so rows repeat, zero rows among them, or a
+    random simplex joint."""
+    if draw(st.booleans()):
+        return sample_simplex(draw(st.integers(1, 8)), draw(st.integers(1, 4)),
+                              draw(st.integers(0, 2**32 - 1)))
+    ny = draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, 3), min_size=ny, max_size=ny)
+    pool = draw(st.lists(row, min_size=1, max_size=3)) + [[0] * ny]
+    p = np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)), dtype=float)
+    p[0, 0] += p.sum() == 0
+    return JointPMF(p / p.sum())
+
+
+class TestReferenceSearch:
+    """The level-batched search against the one-child-at-a-time reference
+    (tests/search_reference.py): same frontier bytes, same counters."""
+
+    @pytest.mark.parametrize("epsilon", [0.0, math.inf])
+    @given(joint=small_joints(), seed=st.integers(0, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference(self, epsilon, joint, seed):
+        cfg = SearchConfig(epsilon, seed)
+        want = reference_search(_JointEvaluator(joint), cfg)
+        assert search_bytes(*pareto_mapper(joint, cfg)) == search_bytes(*want)
+
+    @pytest.mark.parametrize(
+        "joint",
+        [sample_simplex(8, 4, 3), sample_simplex(7, 5, 11),
+         JointPMF(np.array([[1, 2], [1, 2], [0, 0], [3, 0], [1, 2], [0, 1], [3, 0]]) / 16)],
+        ids=["8x4", "7x5", "repeated-and-zero-rows"],
+    )
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_reference_at_finite_epsilon(self, joint, seed):
+        cfg = SearchConfig(0.05, seed)
+        want = reference_search(_JointEvaluator(joint), cfg)
+        assert search_bytes(*pareto_mapper(joint, cfg)) == search_bytes(*want)
 
 
 def unique_children(level):

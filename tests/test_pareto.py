@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dibmap import ParetoPoint, ParetoSet
 from dibmap.distributions import INFO_TOL
-from dibmap.pareto import weakly_dominated
+from dibmap.pareto import staircase, weakly_dominated
 
 
 def make_set(pairs):
@@ -161,6 +161,12 @@ class TestDistance:
                     assert d > 0.0
 
 
+def dominated(ps, xs, ys):
+    """The batched query on a set's objectives() columns, as the search's
+    screen asks it of its level-start frontier."""
+    return weakly_dominated(*ps.objectives().T, xs, ys)
+
+
 class TestDominated:
     """The batched query against the scalar is_optimal and distance."""
 
@@ -168,7 +174,7 @@ class TestDominated:
     def check(ps, probes, r):
         px = np.array([x for x, _ in probes], dtype=float)
         py = np.array([y for _, y in probes], dtype=float)
-        mask = ps.dominated(px + r, py + r)
+        mask = dominated(ps, px + r, py + r)
         assert mask.dtype == bool and mask.shape == px.shape
         for (x, y), hit in zip(probes, mask.tolist()):
             assert hit == (not ps.is_optimal(x + r, y + r))
@@ -196,21 +202,21 @@ class TestDominated:
         self.check(ps, probes, r)
 
     def test_empty_set_dominates_nothing(self):
-        mask = ParetoSet().dominated(np.array([-5.0, 0.0]), np.array([-5.0, 0.0]))
+        mask = dominated(ParetoSet(), np.array([-5.0, 0.0]), np.array([-5.0, 0.0]))
         assert not mask.any()
 
     def test_duplicates_and_wall_ties(self):
         ps = make_set([(0, 1), (1, 0)])
-        mask = ps.dominated(np.array([0.0, 1.0, 0.0, 0.5, 1.5]),
-                            np.array([1.0, 0.0, 0.5, 0.5, -1.0]))
+        mask = dominated(ps, np.array([0.0, 1.0, 0.0, 0.5, 1.5]),
+                         np.array([1.0, 0.0, 0.5, 0.5, -1.0]))
         assert mask.tolist() == [True, True, True, False, False]
 
     def test_tracks_insertions(self):
         ps = make_set([(0, 0)])
         probe = (np.array([0.5]), np.array([0.5]))
-        assert not ps.dominated(*probe).any()
+        assert not dominated(ps, *probe).any()
         ps.add(ParetoPoint(1.0, 1.0))
-        assert ps.dominated(*probe).all()
+        assert dominated(ps, *probe).all()
 
     def test_reach_bounds_distance(self):
         ps = make_set([(0, 1), (0.5, 0.5), (1, 0)])
@@ -221,7 +227,7 @@ class TestDominated:
 
 
 class TestWeaklyDominated:
-    """The module-level query that ParetoSet.dominated and the oracle's
+    """The module-level query that the search's screen and the oracle's
     merge share, on plain arrays."""
 
     fx, fy = np.array([0.0, 1.0]), np.array([1.0, 0.0])
@@ -238,6 +244,28 @@ class TestWeaklyDominated:
         probes = np.array([1.0, 1.0, 1.0]), np.array([-0.5, 0.0, 0.5])
         mask = weakly_dominated(self.fx, self.fy, *probes)
         assert mask.tolist() == [True, True, False]
+
+
+class TestStaircase:
+    """The maximal points of a batch, as ParetoSet keeps them."""
+
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_set_offered_in_input_order(self, pairs):
+        # small integer coordinates: exact duplicates and equal x are common
+        xs = np.array([x for x, _ in pairs], dtype=float)
+        ys = np.array([y for _, y in pairs], dtype=float)
+        points = [ParetoPoint(x, y) for x, y in pairs]
+        index = {id(p): k for k, p in enumerate(points)}
+        # the same points, each represented by its first arrival, ascending in x
+        assert staircase(xs, ys).tolist() == [index[id(p)] for p in ParetoSet(points)]
+
+    def test_empty(self):
+        assert staircase(np.empty(0), np.empty(0)).tolist() == []
+
+    def test_first_of_exact_duplicates(self):
+        xs, ys = np.array([1.0, 0.0, 1.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.5])
+        assert staircase(xs, ys).tolist() == [1, 0]
 
 
 class TestMonotoneInvariance:

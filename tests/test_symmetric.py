@@ -22,6 +22,7 @@ from dibmap import (
 from dibmap.distributions import INFO_TOL
 from dibmap.symmetric import _TripleEvaluator
 from dibmap.errors import DimensionMismatchError, InvalidDistributionError
+from search_reference import search as reference_search, search_bytes
 
 
 def random_triple(g, ny, seed):
@@ -206,6 +207,37 @@ class TestSymmetricMapper:
         f2, s2 = symmetric_pareto_mapper(t, cfg)
         assert [(p.x, p.y) for p in f1] == [(p.x, p.y) for p in f2]
         assert s1.points_searched == s2.points_searched
+
+
+class TestReferenceSearch:
+    """The level-batched search against the one-child-at-a-time reference
+    (tests/search_reference.py): same frontier bytes, same counters."""
+
+    @pytest.mark.parametrize("epsilon", [0.0, math.inf])
+    @given(g=st.integers(1, 6), ny=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           search_seed=st.integers(0, 3))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_reference(self, epsilon, g, ny, seed, search_seed):
+        triple = random_triple(g, ny, seed)
+        cfg = SearchConfig(epsilon, search_seed)
+        want = reference_search(_TripleEvaluator(triple), cfg)
+        assert search_bytes(*symmetric_pareto_mapper(triple, cfg)) == search_bytes(*want)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_matches_reference_at_finite_epsilon(self, seed):
+        triple = random_triple(6, 3, 5)
+        cfg = SearchConfig(0.05, seed)
+        want = reference_search(_TripleEvaluator(triple), cfg)
+        assert search_bytes(*symmetric_pareto_mapper(triple, cfg)) == search_bytes(*want)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05, math.inf])
+    @pytest.mark.parametrize("group", ["Z2xZ4", "D4"])
+    def test_matches_reference_on_group_ties(self, group, epsilon):
+        # a group triple's x depends only on block sizes: exact ties everywhere
+        triple = group_joint(ORDER_8_GROUPS[group]())
+        cfg = SearchConfig(epsilon, 1)
+        want = reference_search(_TripleEvaluator(triple), cfg)
+        assert search_bytes(*symmetric_pareto_mapper(triple, cfg)) == search_bytes(*want)
 
 
 class TestMergeObjectives:
