@@ -17,8 +17,10 @@ are never built as a whole. Each child (parent, merge pair) gets an exact
 integer key computed from its parent row alone (see _child_keys), and
 one sort of the keys keeps each partition's first occurrence. The
 evaluator's merge_objectives computes the survivors' objectives from their
-parents' pushed-forward arrays, updating only the cells each merge touches,
-in parent-aligned slices of about CHUNK_CHILDREN children. Frontier offers
+parents' sums, in parent-aligned slices of about CHUNK_CHILDREN children:
+a child's change to H(Z, Y) and H(Z) depends only on the two clusters it
+unites, so the plain kernel pushes each distinct cluster of a slice's
+parents once and folds each distinct pair of them once. Frontier offers
 stay strictly sequential in (parent, merge pair) order, the order of a
 breadth-first queue, and so do the random draws.
 The batched values depend on the merge path in their last bits, so a child
@@ -40,7 +42,8 @@ labels kept as bytes in a table keyed by its (x, y); only the points that
 survive the search get an Encoder, when it ends.
 
 Most children are far inside the dominated region, so the screen (_screen)
-tests each block of OFFER_BLOCK children in one batched query against a
+tests the whole level once against the frontier at level start, then each
+block of OFFER_BLOCK children that remain in one batched query against a
 staircase held as two arrays: the maximal points of the frontier at level
 start and of the merge-path (x, y) of the near children of the earlier
 blocks. A child is skipped when its corner (x + r, y + r) is dominated; its
@@ -71,7 +74,7 @@ import numpy as np
 from ._util import check_seed
 from .distributions import INFO_TOL, JointPMF, xlog2x
 from .encoders import Encoder
-from .pareto import ParetoPoint, ParetoSet, staircase, weakly_dominated
+from .pareto import ParetoPoint, ParetoSet, staircase
 
 CHUNK_CHILDREN = 1 << 16
 """Merge children per merge_objectives call, and rows times joint cells
@@ -238,28 +241,47 @@ def _child_keys(level: np.ndarray) -> np.ndarray:
     return keys.reshape(len(s), -1)
 
 
-def _first_children(level: np.ndarray) -> np.ndarray:
-    """Ascending indices, numbered as _child_keys numbers the children, of
-    the first occurrence of each partition among a level's merge children."""
-    keys = _child_keys(level)
+def _key_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts) of K >= 1 keys held as (words, K) uint64: order sorts
+    the keys, and starts indexes the first of each run of equal keys in it.
+    Sorts keys in place; no sorted copy outlives the call."""
     if len(keys) == 1:
         order = np.argsort(keys[0])
         keys.sort()  # in place: no gathered copy of the keys
     else:
         order = np.lexsort(keys[::-1])
-        keys = keys[:, order]
-    starts = np.r_[0, np.flatnonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)) + 1]
+        keys[:] = keys[:, order]
+    return order, np.r_[0, np.flatnonzero((keys[:, 1:] != keys[:, :-1]).any(axis=0)) + 1]
+
+
+def _first_children(level: np.ndarray) -> np.ndarray:
+    """Ascending indices, numbered as _child_keys numbers the children, of
+    the first occurrence of each partition among a level's merge children."""
+    order, starts = _key_runs(_child_keys(level))
     new = np.minimum.reduceat(order, starts)  # argsort is not stable
     new.sort()
     return new
 
 
-def _onehot(labels: np.ndarray) -> np.ndarray:
-    """(P, m, n) cluster-membership indicators of P label strings."""
-    p, n = labels.shape
-    out = np.zeros((p, int(labels.max()) + 1, n))
-    out[np.arange(p)[:, None], labels, np.arange(n)] = 1.0
-    return out
+def _distinct_clusters(ids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, slot) of k >= 1 clusters given by ids, an (R, n) array whose
+    entry (r, x) names the cluster, 0 to k - 1, that holds symbol x of row
+    r: rows is the (U, n) uint8 membership of each distinct cluster once,
+    and cluster c's membership is rows[slot[c]].
+
+    A cluster is keyed by its membership bitmask in whole uint64 words (bit
+    x % 64 of word x // 64 holds symbol x; at most 4 words for n <= 255),
+    and the keys are sorted once, as _first_children sorts its child keys.
+    """
+    n = ids.shape[1]
+    keys = np.zeros((-(-n // 64), k), dtype=np.uint64)
+    for x in range(n):  # a row's clusters are distinct, so no index repeats
+        keys[x >> 6, ids[:, x]] |= np.uint64(1 << (x & 63))
+    order, starts = _key_runs(keys)
+    slot = np.empty(k, dtype=np.intp)
+    slot[order] = np.repeat(np.arange(len(starts)), np.diff(starts, append=k))
+    words = np.ascontiguousarray(keys[:, starts].T, dtype="<u8").view(np.uint8)
+    return np.unpackbits(words, axis=1, count=n, bitorder="little"), slot
 
 
 def _ascending_sum(terms: np.ndarray) -> np.ndarray:
@@ -296,18 +318,6 @@ def _objectives(pushed: np.ndarray, hy):
     *lead, m, ny = pushed.shape
     masses = xlog2x(pushed.sum(axis=-1))
     return _reduce_terms(xlog2x(pushed).reshape(*lead, m * ny), masses, hy)
-
-
-def _merged_row_sums(q: np.ndarray, parent, i_idx, j_idx) -> np.ndarray:
-    """Sum of xlog2x over the cells of each merge child of a batch of parents.
-
-    q holds the parents' (P, m, k) rows. Merging clusters i and j of
-    q[parent] folds row j into row i, so each child's sum is its parent's
-    with those two rows' contributions swapped for the fold's.
-    """
-    row = xlog2x(q).sum(axis=2)
-    fold = xlog2x(q[parent, i_idx] + q[parent, j_idx]).sum(axis=1)
-    return row.sum(axis=1)[parent] - row[parent, i_idx] - row[parent, j_idx] + fold
 
 
 def _in_slices(score, labels: np.ndarray, size: int):
@@ -351,14 +361,33 @@ class _JointEvaluator:
     def merge_objectives(self, parents: np.ndarray, parent, i_idx, j_idx):
         """Objectives of the children merging clusters i < j of parents[parent].
 
-        The parents' pushed-forward matrices are built as one (P, m, ny)
-        array; H(Z, Y) folds its rows and H(Z) the rows of its (P, m, 1)
-        cluster masses.
+        Merging clusters i and j folds cluster j's pushed row into cluster
+        i's, so a child's sum of xlog2x over its cells is its parent's with
+        those two rows' terms swapped for the folded row's, and likewise for
+        its cluster masses. Both depend only on the clusters, and nested
+        parents share most of them, so the kernel works from two tables:
+        the parents' distinct clusters (see _distinct_clusters), each pushed
+        once, with the xlog2x terms of its row and its mass taken once; and
+        the distinct pairs of clusters that the children unite, each folded
+        once. A parent's sums are its clusters' gathered terms, and each
+        child gathers its pair's fold.
         """
-        pushed = _onehot(parents) @ self.rows
-        hzy = -_merged_row_sums(pushed, parent, i_idx, j_idx)
-        pz = pushed.sum(axis=2)[..., None]
-        hz = np.maximum(-_merged_row_sums(pz, parent, i_idx, j_idx), 0.0)
+        p, m = len(parents), int(parents.max()) + 1
+        rows, slot = _distinct_clusters(np.arange(0, p * m, m)[:, None] + parents, p * m)
+        cells = rows.astype(float) @ self.rows
+        masses = cells.sum(axis=1)
+        clusters = slot.reshape(p, m)
+        a, b = clusters[parent, i_idx], clusters[parent, j_idx]
+        # two disjoint clusters keep their order in every canonical parent, so
+        # a pair's ordered key (i < j) is its only one
+        pairs, fold = np.unique(a * len(rows) + b, return_inverse=True)
+        fa, fb = np.divmod(pairs, len(rows))
+
+        def merged(terms, folded):
+            return terms[clusters].sum(axis=1)[parent] - terms[a] - terms[b] + folded[fold]
+
+        hzy = -merged(xlog2x(cells).sum(axis=1), xlog2x(cells[fa] + cells[fb]).sum(axis=1))
+        hz = np.maximum(-merged(xlog2x(masses), xlog2x(masses[fa] + masses[fb])), 0.0)
         return -hz, np.maximum(hz + self.hy - hzy, 0.0)
 
 
@@ -369,24 +398,35 @@ def _screen(frontier: ParetoSet, xs: np.ndarray, ys: np.ndarray, reach: np.ndarr
 
     Each OFFER_BLOCK of children is tested against one staircase, held as
     two arrays: the maximal points of the frontier at level start and of
-    the merge-path (x, y) of the near children of the earlier blocks.
+    the merge-path (x, y) of the near children of the earlier blocks. Every
+    such staircase dominates at least what the level-start one does, so
+    one query against that one first drops, for the whole level, the
+    children no block's staircase would leave live.
     """
     sx, sy = frontier.objectives().T
-    live, is_near = [], []
-    corners = np.stack((reach, np.full(len(reach), 2 * INFO_TOL)))
-    for lo in range(0, len(xs), OFFER_BLOCK):
-        hi = lo + OFFER_BLOCK
-        r = corners[:, lo:hi]
-        free = ~weakly_dominated(sx, sy, xs[lo:hi] + r, ys[lo:hi] + r)
-        at = np.flatnonzero(free[0])  # the live children, counted from lo
-        near = free[1, at]
-        live.append(lo + at)
+    # a -inf sentinel keeps an index past the last point in range: a probe
+    # right of every point is undominated, as weakly_dominated's is
+    sy = np.append(sy, -math.inf)
+
+    def free(px, py):  # the probes no staircase point is >= in both coordinates
+        return ~(sy[np.searchsorted(sx, px)] >= py)
+
+    rx, ry = xs + reach, ys + reach
+    kept = np.flatnonzero(free(rx, ry))
+    cuts = np.searchsorted(kept, range(0, len(xs) + OFFER_BLOCK, OFFER_BLOCK))
+    live, is_near = [kept[:0]], [np.zeros(0, dtype=bool)]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if a == b:
+            continue
+        k = kept[a:b]
+        k = k[free(rx[k], ry[k])]
+        near = free(xs[k] + 2 * INFO_TOL, ys[k] + 2 * INFO_TOL)
+        live.append(k)
         is_near.append(near)
         if near.any():
-            k = lo + at[near]
-            cx, cy = np.concatenate((sx, xs[k])), np.concatenate((sy, ys[k]))
+            cx, cy = np.concatenate((sx, xs[k[near]])), np.concatenate((sy[:-1], ys[k[near]]))
             top = staircase(cx, cy)
-            sx, sy = cx[top], cy[top]
+            sx, sy = cx[top], np.append(cy[top], -math.inf)
     return np.concatenate(live), np.concatenate(is_near)
 
 

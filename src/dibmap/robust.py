@@ -44,7 +44,9 @@ from ._util import as_integer, check_seed, derive_seed
 from .distributions import EmpiricalCounts, normalize_counts, xlog2x
 from .encoders import Encoder
 from .errors import DimensionMismatchError
-from .mapper import SearchConfig, SearchStats, _ascending_sum, _reduce_terms, pareto_mapper
+from .mapper import (
+    SearchConfig, SearchStats, _ascending_sum, _distinct_clusters, _reduce_terms, pareto_mapper,
+)
 from .pareto import ParetoPoint, ParetoSet
 
 _SPREAD_CELLS = 1 << 20
@@ -97,7 +99,8 @@ def bootstrap_uncertainty(
     The encoders' clusters are pushed once per replicate, each distinct
     cluster once however many encoders hold it: a frontier's encoders are
     nested coarsenings that share most of their clusters. A cluster is
-    keyed by its membership row, and its cells in the table add its rows
+    keyed by its membership bitmask, as in the search's merge kernel (see
+    mapper._distinct_clusters), and its cells in the table add its rows
     to 0.0 in ascending position, as push_forward's np.add.at does, so
     they are the cells of every encoder's own push bit for bit. Their
     xlog2x terms and those of their masses are taken once, and each
@@ -126,20 +129,16 @@ def bootstrap_uncertainty(
     hy = -_ascending_sum(xlog2x(arr.sum(axis=1)))
     ms = np.array([f.m for f in encoders])
     first = np.cumsum(ms) - ms  # each encoder's first cluster instance
-    member = np.zeros((ms.sum(), counts.nx), dtype=bool)
-    member[first[:, None] + [f.assignment for f in encoders], np.arange(counts.nx)] = True
-    _, uniq, slot = np.unique(
-        np.packbits(member, axis=1), axis=0, return_index=True, return_inverse=True
-    )
-    holders = [np.flatnonzero(col) for col in member[uniq].T]  # table rows per symbol
+    rows, slot = _distinct_clusters(first[:, None] + [f.assignment for f in encoders], ms.sum())
+    holders = [np.flatnonzero(col) for col in rows.T]  # table rows per symbol
     vals = np.empty((2, len(encoders), reps))
-    rstep = max(1, _SPREAD_CELLS // (len(uniq) * ny))
+    rstep = max(1, _SPREAD_CELLS // (len(rows) * ny))
     for r0 in range(0, reps, rstep):
         part = arr[r0 : r0 + rstep]
         r1 = r0 + len(part)
         # built cluster-major, so each add moves whole (replicate, y) blocks,
         # then laid out replicate-major for the gathers
-        cells = np.zeros((len(uniq), len(part), ny))
+        cells = np.zeros((len(rows), len(part), ny))
         for i, h in enumerate(holders):
             cells[h] += part[:, i]
         cells = np.ascontiguousarray(cells.transpose(1, 0, 2))

@@ -17,9 +17,7 @@ import numpy as np
 from .distributions import _check_pmf, save_matrix_csv, xlog2x
 from .encoders import Encoder
 from .errors import DimensionMismatchError, InvalidDistributionError
-from .mapper import (
-    SearchConfig, SearchStats, _in_slices, _objectives, _onehot, _run_search,
-)
+from .mapper import SearchConfig, SearchStats, _in_slices, _objectives, _run_search
 from .pareto import ParetoSet
 
 
@@ -43,6 +41,14 @@ class TripleJointPMF:
     @property
     def ny(self) -> int:
         return self.p.shape[2]
+
+
+def _onehot(labels: np.ndarray) -> np.ndarray:
+    """(P, m, n) cluster-membership indicators of P label strings."""
+    p, n = labels.shape
+    out = np.zeros((p, int(labels.max()) + 1, n))
+    out[np.arange(p)[:, None], labels, np.arange(n)] = 1.0
+    return out
 
 
 def _merged_cell_sums(q: np.ndarray, parent, i_idx, j_idx) -> np.ndarray:

@@ -7,7 +7,10 @@ Run from the repository root:
 It prints one `name digest` line per search, then `all <sha256>` over those
 lines. A search's digest is the sha256 of `points_searched enqueued` and,
 per frontier point in order, `x!r y!r assignment`, one line each. A change
-that keeps every search's frontier and counters gives the same last line.
+that keeps every search's frontier and counters gives the same `all` line,
+PINNED below. The script exits 0 when it does, and 1 otherwise, naming the
+first search whose line differs from the pinned lines in
+`tests/search_digest.txt`.
 The set (search seed 3 where none is named):
 
 - plain `sample_simplex(n, 5, s)`, s = 1, 2: n = 1..9 at eps 0, 0.05, 1 and
@@ -20,14 +23,16 @@ The set (search seed 3 where none is named):
 - three random triples, g = 4, 5, 6, `exponential(size=(g, g, 3))` from
   `default_rng(g)`, normalized, at eps 0, 0.05, 1 and inf.
 
-It is not a pytest module: the whole set takes minutes (n = 40 alone takes
-about 20 s per search) and a few hundred MB.
+It is not a pytest module: the whole set takes about 30 s on a 2-vCPU host
+and a few hundred MB.
 """
 
 import hashlib
+import itertools
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -38,6 +43,9 @@ from dibmap import (
 from dibmap.datasets import GroupTable, group_joint
 
 FOUR_EPS = (0.0, 0.05, 1.0, math.inf)
+
+PINNED = "a50300e8961885b9c7d5fa6548c5fe2ddbcf43a703abae85f12a5a431b0b53ac"
+"""The `all` digest; search_digest.txt holds the lines it is taken over."""
 
 
 def _cyclic(g):
@@ -83,16 +91,30 @@ def digest(frontier, stats) -> str:
     return h.hexdigest()
 
 
+def all_digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def main() -> int:
+    pinned = (Path(__file__).parent / "search_digest.txt").read_text().splitlines()
+    if all_digest(pinned) != PINNED:
+        print("search_digest.txt does not match PINNED", file=sys.stderr)
+        return 1
     start = time.perf_counter()
     lines = []
     for name, search, problem, eps, seed in searches():
         line = f"{name} {digest(*search(problem, SearchConfig(eps, seed)))}"
         print(line, flush=True)
         lines.append(line)
-    print(f"all {hashlib.sha256(chr(10).join(lines).encode()).hexdigest()}")
+    print(f"all {all_digest(lines)}")
     print(f"{len(lines)} searches in {time.perf_counter() - start:.1f} s", file=sys.stderr)
-    return 0
+    if all_digest(lines) == PINNED:
+        return 0
+    got, want = next(
+        (a, b) for a, b in itertools.zip_longest(lines, pinned, fillvalue="(none)") if a != b
+    )
+    print(f"FAIL: first differing search: {got} (pinned: {want})", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -11,6 +11,11 @@ its draw is below exp(-d / epsilon), d its distance to the frontier. The
 draws come from the same stream as the search's: one rng.random per
 (parent, pair), skipped children included. search_bytes(frontier, stats)
 is what a search must reproduce exactly.
+
+screen(frontier, xs, ys, reach) is the search's level screen one block at
+a time: each OFFER_BLOCK of children is tested with weakly_dominated
+against the staircase of the level-start frontier and the near children of
+the earlier blocks, with no test against the level-start staircase first.
 """
 
 import itertools
@@ -18,9 +23,10 @@ import math
 
 import numpy as np
 
+from dibmap.distributions import INFO_TOL
 from dibmap.encoders import Encoder
-from dibmap.mapper import SearchStats, enqueue_probability
-from dibmap.pareto import ParetoPoint, ParetoSet
+from dibmap.mapper import OFFER_BLOCK, SearchStats, enqueue_probability
+from dibmap.pareto import ParetoPoint, ParetoSet, staircase, weakly_dominated
 
 
 def canonical(labels) -> tuple:
@@ -69,3 +75,24 @@ def search(evaluator, cfg):
 def search_bytes(frontier, stats):
     """A search's counters and its frontier's exact values and encoders."""
     return stats, [(p.x.hex(), p.y.hex(), p.encoder.assignment) for p in frontier]
+
+
+def screen(frontier, xs, ys, reach):
+    """(live, is_near) of a level's children, as the search's screen."""
+    sx, sy = frontier.objectives().T
+    live, is_near = [], []
+    corners = np.stack((reach, np.full(len(reach), 2 * INFO_TOL)))
+    for lo in range(0, len(xs), OFFER_BLOCK):
+        hi = lo + OFFER_BLOCK
+        r = corners[:, lo:hi]
+        free = ~weakly_dominated(sx, sy, xs[lo:hi] + r, ys[lo:hi] + r)
+        at = np.flatnonzero(free[0])  # the live children, counted from lo
+        near = free[1, at]
+        live.append(lo + at)
+        is_near.append(near)
+        if near.any():
+            k = lo + at[near]
+            cx, cy = np.concatenate((sx, xs[k])), np.concatenate((sy, ys[k]))
+            top = staircase(cx, cy)
+            sx, sy = cx[top], cy[top]
+    return np.concatenate(live), np.concatenate(is_near)

@@ -27,15 +27,19 @@ from dibmap import (
 from dibmap.distributions import xlog2x
 from dibmap.encoders import canonicalize
 from dibmap.mapper import (
+    OFFER_BLOCK,
+    _distinct_clusters,
     _first_children,
     _JointEvaluator,
     _key_weights,
     _merge_table,
     _objectives,
+    _reach,
+    _screen,
 )
 from dibmap.symmetric import _TripleEvaluator
 from push_reference import push
-from search_reference import search as reference_search, search_bytes
+from search_reference import screen as reference_screen, search as reference_search, search_bytes
 
 DIAG2 = JointPMF(np.diag([0.5, 0.5]))
 
@@ -336,6 +340,53 @@ class TestReferenceSearch:
         assert search_bytes(*pareto_mapper(joint, cfg)) == search_bytes(*want)
 
 
+class TestDistinctClusters:
+    """The cluster table shared by the plain merge kernel and the bootstrap:
+    every cluster maps to its own membership row, and each distinct row is
+    in the table once, for keys of one to four uint64 words."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 255), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_and_slots(self, seed, n, count):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, min(n, 4) + 1))
+        parents = labels_with_m_clusters(rng, n, m, count)[rng.integers(count, size=count)]
+        rows, slot = _distinct_clusters(np.arange(0, count * m, m)[:, None] + parents, count * m)
+        member = parents[:, None, :] == np.arange(m)[:, None]
+        assert np.array_equal(rows[slot], member.reshape(count * m, n))
+        assert len(np.unique(rows, axis=0)) == len(rows)
+
+
+class TestScreen:
+    """The level screen, which first drops the children the level-start
+    staircase dominates, against the block-only reference
+    (tests/search_reference.py): same live children, same near flags."""
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.05, math.inf])
+    @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 4 * OFFER_BLOCK))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_block_reference(self, epsilon, seed, size):
+        rng = np.random.default_rng(seed)
+        frontier = ParetoSet()
+        fx = np.sort(rng.uniform(-4.0, 0.0, rng.integers(1, 30)))
+        for x, y in zip(fx.tolist(), np.sort(rng.uniform(0.0, 2.0, len(fx)))[::-1].tolist()):
+            frontier.add(ParetoPoint(x, y))
+        # children at frontier points moved by offsets about INFO_TOL, so
+        # some are near, some enter the staircase and some are screened
+        at = frontier.objectives()[rng.integers(len(frontier), size=size)]
+        offsets = np.array([0.0, 1e-10, 1e-9, 2e-9, 3e-9, 1e-6, 1e-2, 0.3])
+        step = offsets[rng.integers(len(offsets), size=(size, 2))]
+        step *= rng.choice([-1.0, 1.0], size=(size, 2))
+        xs, ys = (at + step).T.copy()
+        draws = rng.random(size)
+        draws[rng.random(size) < 0.01] = 0.0  # reach inf: never screened
+        reach = _reach(draws, epsilon)
+        live, is_near = _screen(frontier, xs, ys, reach)
+        want_live, want_near = reference_screen(frontier, xs, ys, reach)
+        assert live.dtype == want_live.dtype and is_near.dtype == want_near.dtype
+        assert np.array_equal(live, want_live) and np.array_equal(is_near, want_near)
+
+
 def unique_children(level):
     """Reference dedup: every child's labels, parent-major then in pair
     order, and the first occurrence of each distinct row."""
@@ -540,16 +591,20 @@ class TestMergeObjectives:
     @pytest.mark.parametrize(
         "make_evaluator",
         [lambda: _JointEvaluator(sample_simplex(40, 30, 7)),
+         lambda: _JointEvaluator(sample_simplex(70, 4, 7)),
+         lambda: _JointEvaluator(sample_simplex(255, 2, 7)),
          lambda: _TripleEvaluator(dm.TripleJointPMF(
              (p := np.random.default_rng(7).exponential(size=(12, 12, 5))) / p.sum()))],
-        ids=["plain-40x30", "symmetric-12"],
+        ids=["plain-40x30", "plain-70x4", "plain-255x2", "symmetric-12"],
     )
     @pytest.mark.parametrize("level", ["identity", "half", "three"])
     def test_level_within_search_tolerance(self, make_evaluator, level):
         # the search decides a near child on its from-scratch value and every
         # other child on its merge-path value, which is decided the same only
         # while the two differ far less than INFO_TOL; here for every child
-        # of the identity or of 8 random parents of n // 2 or 3 clusters
+        # of the identity or of 8 random parents of n // 2 or 3 clusters. The
+        # plain kernel keys a cluster by one uint64 word up to n = 64, by two
+        # at n = 70 and by four at n = 255.
         ev = make_evaluator()
         if level == "identity":
             parents = np.arange(ev.n, dtype=np.uint8)[None]
@@ -564,6 +619,35 @@ class TestMergeObjectives:
         ex, ey = ev.objectives(_merge_table(i_idx, j_idx, m)[pair[:, None], parents[parent]])
         assert np.abs(xs - ex).max() <= 1e-12
         assert np.abs(ys - ey).max() <= 1e-12
+
+    def test_fold_takes_each_distinct_pair_once(self, monkeypatch):
+        # repeated and overlapping parents share clusters, so many children
+        # unite the same two clusters: each distinct cluster is pushed and
+        # each distinct pair folded once, cells (ny each) and mass
+        ny, m = 4, 5
+        ev = _JointEvaluator(sample_simplex(9, ny, 3))
+        parents = random_level(np.random.default_rng(5), 9, m, 6, 12)
+        i_idx, j_idx = np.triu_indices(m, k=1)
+        parent = np.repeat(np.arange(len(parents)), len(i_idx))
+        pair = np.tile(np.arange(len(i_idx)), len(parents))
+        sizes = []
+
+        def spy(a):
+            sizes.append(np.size(a))
+            return xlog2x(a)
+
+        monkeypatch.setattr(dm.mapper, "xlog2x", spy)
+        ev.merge_objectives(parents, parent, i_idx[pair], j_idx[pair])
+
+        def cluster(k, c):
+            return frozenset(np.flatnonzero(parents[k] == c).tolist())
+
+        clusters = {cluster(k, c) for k in range(len(parents)) for c in range(m)}
+        pairs = {frozenset((cluster(k, i_idx[t]), cluster(k, j_idx[t])))
+                 for k, t in zip(parent, pair)}
+        assert len(clusters) < len(parents) * m and len(pairs) < len(parent)
+        want = [len(clusters) * ny, len(clusters), len(pairs) * ny, len(pairs)]
+        assert sorted(sizes) == sorted(want)
 
     @pytest.mark.parametrize(
         "make_evaluator",
